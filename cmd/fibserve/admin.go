@@ -28,7 +28,9 @@ type status struct {
 	ins   *shardfib.Instruments
 	reg   *obs.Registry
 
-	// IPv4 serving topology, as the banner reports it.
+	// IPv4 serving topology, as the banner reports it; sharded is nil
+	// when the flat single-blob engine serves.
+	sharded  *shardfib.FIB
 	prefixes int
 	size     int
 	shards   int
@@ -111,6 +113,7 @@ type statuszPayload struct {
 		Shards    int    `json:"shards"`
 		Blob      string `json:"blob"`
 	} `json:"serving"`
+	Arena    *arenaStatus `json:"arena,omitempty"`
 	Serving6 *struct {
 		Prefixes  int    `json:"prefixes"`
 		SizeBytes int    `json:"size_bytes"`
@@ -125,6 +128,16 @@ type statuszPayload struct {
 	Peers []ribd.PeerInfo  `json:"peers,omitempty"`
 	VRFs  *vrfStatus       `json:"vrfs,omitempty"`
 	Trace []obs.TraceEvent `json:"trace"`
+}
+
+// arenaStatus is the live state of the IPv4 engine's own arena: what
+// it holds against what a fresh build of the current table would, the
+// ratio a compaction keeps under 1.5, and the generation serving now.
+type arenaStatus struct {
+	ResidentBytes int     `json:"resident_bytes"`
+	LiveBytes     int     `json:"live_bytes"`
+	Ratio         float64 `json:"resident_over_live"`
+	Generation    uint64  `json:"generation"`
 }
 
 // vrfStatus is the multi-tenant section of /statusz: the shared-index
@@ -153,6 +166,11 @@ func (st *status) statusz() statuszPayload {
 	p.Serving.SizeBytes = st.size
 	p.Serving.Shards = st.shards
 	p.Serving.Blob = st.blob
+	if st.sharded != nil {
+		if resident, live, compactions := st.sharded.Arena(); resident > 0 {
+			p.Arena = &arenaStatus{resident, live, float64(resident) / float64(live), compactions + 1}
+		}
+	}
 	if st.dual {
 		p.Serving6 = &struct {
 			Prefixes  int    `json:"prefixes"`

@@ -277,6 +277,10 @@ func main() {
 			// The engine fell back to folded-DAG snapshots (barrier
 			// beyond the serializable range); say so.
 			served = "dag (unserialized)"
+		} else if resident, _, _ := sharded.Arena(); resident > 0 {
+			// The size is the resident arena plus the shards' root
+			// windows: what lookups walk and what churn may grow by half.
+			served += ", one arena"
 		}
 	} else {
 		engine, size, served, err = flatEngine(t)
@@ -412,7 +416,7 @@ func main() {
 	}
 	st := &status{
 		srv: s, plane: plane, upd: upd, ins: ins, reg: reg,
-		prefixes: t.N(), size: size, shards: *shards, blob: served, sockets: sockets,
+		prefixes: t.N(), size: size, shards: *shards, blob: served, sockets: sockets, sharded: sharded,
 		grace: grace.String(), idle: idle.String(),
 		vreg: vreg, vrfCounts: func() map[uint16][2]int {
 			vcountMu.Lock()

@@ -20,7 +20,8 @@
 // LookupBatchInto (and Blob's, for the flat engine) overlaps the
 // batch's memory accesses through interleaved lookup lanes, and a
 // steady-churn Set/Delete republishes a shard with zero heap
-// allocations by re-serializing into double-buffered snapshots.
+// allocations: the shards share one append-only arena of node words,
+// so a publish appends only the nodes the update created.
 //
 // Alongside the compressors the module ships the measurement apparatus
 // of the paper's evaluation: FIB entropy metrics, workload generators,

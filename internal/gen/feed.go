@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"fibcomp/internal/fib"
 	"fibcomp/internal/ip6"
@@ -52,11 +53,73 @@ func WriteUpdates(w io.Writer, us []Update) error {
 // "announce prefix label" or "withdraw prefix" — the unit a
 // streaming consumer (a ribd peer session) handles at a time.
 func ParseUpdate(text string) (Update, error) {
-	u, err := parseUpdate(text)
+	return ParseUpdateBytes(unsafe.Slice(unsafe.StringData(text), len(text)))
+}
+
+// ParseUpdateBytes is ParseUpdate on a line still in the read buffer.
+// It neither keeps nor modifies line, and a well-formed IPv4 line —
+// nearly all of any feed — costs no allocation: parseFast takes it, and
+// everything else (IPv6, odd spacing, every malformed line) goes to the
+// string parser, whose values and error texts are the reference.
+func ParseUpdateBytes(line []byte) (Update, error) {
+	if u, ok := parseFast(line); ok {
+		return u, nil
+	}
+	u, err := parseUpdate(string(line))
 	if err != nil {
 		return u, fmt.Errorf("gen: %v", err)
 	}
 	return u, nil
+}
+
+// parseFast accepts exactly "announce a.b.c.d/len label" and "withdraw
+// a.b.c.d/len" with single spaces and plain decimal numbers, a subset
+// of what parseUpdate accepts with the same value; ok is false for
+// anything else, valid or not.
+func parseFast(line []byte) (u Update, ok bool) {
+	rest := line
+	switch {
+	case len(line) > 9 && string(line[:9]) == "announce ":
+		rest = line[9:]
+	case len(line) > 9 && string(line[:9]) == "withdraw ":
+		rest, u.Withdraw = line[9:], true
+	default:
+		return u, false
+	}
+	var v uint32
+	for i := 0; i < 4; i++ {
+		if v, rest, ok = decimal(rest, 255); !ok || len(rest) == 0 || rest[0] != ".../"[i] {
+			return u, false
+		}
+		u.Addr, rest = u.Addr<<8|v, rest[1:]
+	}
+	if v, rest, ok = decimal(rest, fib.W); !ok {
+		return u, false
+	}
+	u.Len = int(v)
+	u.Addr &= fib.Mask(u.Len)
+	if u.Withdraw {
+		return u, len(rest) == 0
+	}
+	if len(rest) == 0 || rest[0] != ' ' {
+		return u, false
+	}
+	u.NextHop, rest, ok = decimal(rest[1:], fib.MaxLabel)
+	return u, ok && len(rest) == 0 && u.NextHop != 0
+}
+
+// decimal reads a run of one to three digits from the front of b,
+// reporting its value when that is at most max.
+func decimal(b []byte, max uint32) (v uint32, rest []byte, ok bool) {
+	n := 0
+	for n < len(b) && n < 3 && b[n] >= '0' && b[n] <= '9' {
+		v = v*10 + uint32(b[n]-'0')
+		n++
+	}
+	if n < len(b) && b[n] >= '0' && b[n] <= '9' {
+		return 0, b, false // a longer run: leave it to the reference parser
+	}
+	return v, b[n:], n > 0 && v <= max
 }
 
 func parseUpdate(text string) (Update, error) {

@@ -1,0 +1,18 @@
+package pdag
+
+// SetArenaIndexLimit lowers the node-index ceiling of an arena
+// generation so tests reach exhaustion with small tables; the returned
+// func restores it.
+func SetArenaIndexLimit(n uint32) (restore func()) {
+	old := arenaIdxLimit
+	arenaIdxLimit = n
+	return func() { arenaIdxLimit = old }
+}
+
+// SetRecyclePoison makes Recycle overwrite every array it takes back
+// with w, so a recycle that a reader could still observe is loud.
+func SetRecyclePoison(w uint32) (restore func()) {
+	old := recyclePoison
+	recyclePoison = w
+	return func() { recyclePoison = old }
+}

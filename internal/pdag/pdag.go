@@ -142,13 +142,25 @@ func (d *DAG) foldPushed(cn *trie.Node, def uint32) *Node {
 	return res
 }
 
+// freeChain is the chain dead nodes are recycled through: the space's
+// for a member DAG — a shared node dies in whichever member drops the
+// last reference, so per-DAG chains would drain in one member and pile
+// up in another — else the DAG's own.
+func (d *DAG) freeChain() **Node {
+	if d.space != nil {
+		return &d.space.freeNode
+	}
+	return &d.freeNode
+}
+
 // newNode pops a recycled node or allocates one.
 func (d *DAG) newNode() *Node {
-	n := d.freeNode
+	free := d.freeChain()
+	n := *free
 	if n == nil {
 		return &Node{}
 	}
-	d.freeNode = n.Left
+	*free = n.Left
 	*n = Node{}
 	return n
 }
@@ -156,8 +168,9 @@ func (d *DAG) newNode() *Node {
 // recycleNode pushes a dead node onto the free chain. The stale
 // serialIdx stamp is harmless: every SerializeInto bumps the epoch.
 func (d *DAG) recycleNode(n *Node) {
-	*n = Node{Left: d.freeNode}
-	d.freeNode = n
+	free := d.freeChain()
+	*n = Node{Left: *free}
+	*free = n
 }
 
 // fold compresses a proper leaf-labeled trie bottom-up into the DAG
@@ -249,6 +262,9 @@ func (d *DAG) release(n *Node) {
 		return
 	}
 	delete(d.sub, [2]uint64{n.Left.id, n.Right.id})
+	if d.space != nil && n.serialEpoch != d.space.stampEpoch() {
+		d.space.idMark++ // died before an emission reached it: never to be appended
+	}
 	l, r := n.Left, n.Right
 	d.recycleNode(n)
 	d.release(l)

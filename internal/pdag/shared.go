@@ -1,6 +1,7 @@
 package pdag
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -11,30 +12,37 @@ import (
 // Space is a shared hash-cons universe: the sub-trie index S and the
 // leaf table lp of §4.1 lifted out of one DAG and spanned across many.
 // Every DAG built with FromTrieShared folds into the same two maps, so
-// an isomorphic labeled sub-trie appearing in any number of tenant
-// tables is stored exactly once — the paper's within-table sharing
-// argument extended across tables, which is what makes thousands of
-// near-identical VRFs cost little more than one.
+// an isomorphic labeled sub-trie appearing in any number of member
+// DAGs — the shards of one engine, or every tenant table of a registry
+// — is stored exactly once.
 //
 // The space also owns the serialized form of that sharing: an
 // append-only arena of node words (words) that every member DAG's
 // SerializeShared emits into, stamping each folded node with its
-// arena index so the next tenant to reach the same node reuses the
-// emitted words instead of re-serializing them. Root-array windows are
-// content-deduplicated into a second arena (rootArena), so tenants
-// whose shard roots are bit-identical share those too. Published blobs
-// alias the arenas; appends never mutate an index a published slice
-// can reach, so readers need no synchronization.
+// arena index, so that a publish appends only the folded nodes created
+// since the last one. Published blobs alias the arena; appends never
+// mutate an index a published slice can reach, so readers need no
+// synchronization. The words of nodes that have since died stay, so
+// arenas come in generations: Compact starts an empty one, invalidating
+// every stamp, and the members re-emit into it.
+//
+// A NewSpace space serves many engines: their root windows are
+// content-deduplicated into a second arena (rootArena), and its owner
+// decides when to compact. A NewArena space serves one: blobs own
+// their window buffers, NeedsCompact bounds the garbage by rule, and
+// the retired generation's array comes back (Recycle) once the engine
+// has proven that no reader can reach it.
 //
 // All mutation — folding, updates, serialization — must happen under
-// the space lock (Lock/Unlock); shardfib's shared-mode write paths
-// take it around every control-plane operation. Lookups on published
-// blobs never touch the space.
+// the space lock (Lock/Unlock); lookups on published blobs never touch
+// the space.
 type Space struct {
 	mu     sync.Mutex
 	sub    map[[2]uint64]*Node
 	leaves map[uint32]*Node
 	nextID uint64
+
+	freeNode *Node // the members' recycled-node chain (linked via Left)
 
 	// epoch backs the private serializers' stamping epochs for member
 	// DAGs: a space-wide counter keeps a stamp written through one DAG
@@ -46,14 +54,28 @@ type Space struct {
 	// gen is the arena generation: arena stamps are valid only under
 	// the epoch 1<<63|gen, so Compact — which bumps gen and replaces
 	// the arenas — invalidates every stamp at once without touching
-	// the nodes.
-	gen uint64
+	// the nodes. full latches when the generation runs out of node
+	// indices: every emission then fails until Compact.
+	gen  uint64
+	full bool
 
 	words     []uint32 // append-only arena: two words per emitted folded interior
-	rootArena []uint32 // append-only arena of deduplicated root windows
+	rootArena []uint32 // NewSpace: append-only arena of deduplicated root windows
 	rootIdx   map[uint64][]rootWin
 
-	scratchRoot []uint32 // full 2^λ root scratch for SerializeShared
+	// NewArena only. windows is the owning engine's published root
+	// words, constant for its life; idMark trails nextID by the
+	// interiors created since the last emission and still alive (it is
+	// nextID then, and release advances it), which is what the next
+	// emission will append; retired is the previous generation's array
+	// until Recycle moves it to free, where the next Compact finds it.
+	windows       int
+	idMark        uint64
+	retired, free []uint32
+
+	onCompact func()
+
+	scratchRoot []uint32 // window scratch for interning emissions
 	stack       []*Node  // shared-emission DFS stack
 	newList     []*Node  // nodes first stamped by the current emission
 }
@@ -64,12 +86,22 @@ type rootWin struct {
 	n   int32
 }
 
-// NewSpace creates an empty shared hash-cons space.
+// NewSpace creates an empty hash-cons space shared by many engines.
 func NewSpace() *Space {
+	sp := NewArena(0)
+	sp.rootIdx = make(map[uint64][]rootWin)
+	return sp
+}
+
+// NewArena creates the space of a single engine publishing windows
+// root words in total. With one member there is nothing to intern a
+// root window against, so SerializeShared writes it into the blob's
+// own buffer, and the space bounds its own garbage (NeedsCompact).
+func NewArena(windows int) *Space {
 	return &Space{
 		sub:     make(map[[2]uint64]*Node),
 		leaves:  make(map[uint32]*Node),
-		rootIdx: make(map[uint64][]rootWin),
+		windows: windows,
 	}
 }
 
@@ -81,14 +113,17 @@ func (sp *Space) Lock() { sp.mu.Lock() }
 // Unlock releases the space's write exclusion.
 func (sp *Space) Unlock() { sp.mu.Unlock() }
 
-// SharedBytes reports the byte size of the shared serialized arenas —
-// the node words and deduplicated root windows every tenant's blobs
-// alias. This is the resident serialized cost of all member tables
-// together, counted once. Callers synchronize with writers (take the
-// space lock or quiesce the write paths) for an exact figure.
+// SharedBytes reports the resident byte size of the serialized arenas
+// — the node words (garbage included) and deduplicated root windows
+// every member's blobs alias, counted once. Callers synchronize with
+// writers (take the space lock or quiesce the write paths) for an
+// exact figure.
 func (sp *Space) SharedBytes() int {
 	return 4 * (len(sp.words) + len(sp.rootArena))
 }
+
+// Generation reports the arena generation: the number of Compacts.
+func (sp *Space) Generation() uint64 { return sp.gen }
 
 // FoldedInterior reports the number of shared interior nodes (|S|)
 // across every member DAG.
@@ -100,19 +135,71 @@ func (sp *Space) FoldedInterior() int { return len(sp.sub) }
 // a valid arena stamp.
 func (sp *Space) stampEpoch() uint64 { return 1<<63 | sp.gen }
 
-// Compact begins a fresh arena generation: the word and root arenas
-// are replaced (never truncated — published blobs alias the old
-// backing arrays and keep serving until their snapshots drain) and
-// every arena stamp is invalidated by the generation bump. The caller
-// must republish every member DAG afterwards so new snapshots land in
-// the new arenas; until then retired blobs pin the old ones. Called
-// under the space lock.
+// OnCompact registers what re-emits the space's members after Compact
+// started a new generation (a registry republishing its tenants). It
+// runs inside Compact, under the space lock.
+func (sp *Space) OnCompact(republish func()) { sp.onCompact = republish }
+
+// NeedsCompact reports whether the members' next emission must go to a
+// new generation: always once the current one ran out of indices, and
+// for a NewArena space when that emission would take the arena past
+// 1.5 × live, live being two words per folded interior plus the
+// engine's root windows: words + windows > 1.5·(2|S| + windows).
+func (sp *Space) NeedsCompact() bool {
+	if sp.full || sp.rootIdx != nil {
+		return sp.full
+	}
+	return len(sp.words)+2*int(sp.nextID-sp.idMark) > 3*len(sp.sub)+sp.windows/2
+}
+
+// Compact begins a fresh arena generation: the arenas are replaced
+// (never truncated — published blobs alias the old backing arrays and
+// keep serving until their snapshots drain) and every arena stamp is
+// invalidated by the generation bump. Every member must re-emit
+// afterwards so new snapshots land in the new arenas — OnCompact's
+// hook, then the caller. A NewArena space sizes the new array for the
+// room NeedsCompact gives the generation (root windows past what a
+// merged root admits are left to append), so that it never grows,
+// reusing the array Recycle handed back when that is large enough.
+// Called under the space lock.
 func (sp *Space) Compact() {
 	sp.gen++
-	sp.words = nil
-	sp.rootArena = nil
-	sp.rootIdx = make(map[uint64][]rootWin)
+	sp.full = false
+	if sp.rootIdx != nil {
+		sp.words, sp.rootArena = nil, nil
+		sp.rootIdx = make(map[uint64][]rootWin)
+	} else {
+		sp.retired, sp.words, sp.free = sp.words, sp.free[:0], nil
+		room := 3*len(sp.sub) + min(sp.windows/2, 1<<15)
+		if cap(sp.words) < room+room/8 {
+			sp.words = make([]uint32, 0, room+room/2)
+		}
+	}
+	if sp.onCompact != nil {
+		sp.onCompact()
+	}
 }
+
+// Retired reports whether a previous generation's array awaits Recycle.
+func (sp *Space) Retired() bool { return sp.retired != nil }
+
+// Recycle hands the previous generation's array to the next Compact.
+// The owner calls it once no reader can reach a blob cut from that
+// generation; published slices alias the array, so an early call is a
+// use-after-free in all but name.
+func (sp *Space) Recycle() {
+	if recyclePoison != 0 {
+		fillWords(sp.retired[:cap(sp.retired)], recyclePoison)
+	}
+	sp.free, sp.retired = sp.retired, nil
+}
+
+// Test hooks: the node-index ceiling of a generation, and a word to
+// overwrite every recycled array with (0: none).
+var (
+	arenaIdxLimit uint32 = maxBlobIdx
+	recyclePoison uint32
+)
 
 // FromTrieShared is FromTrie folding into a shared space: the DAG's
 // sub-trie index and leaf table are the space's own maps, so identical
@@ -163,21 +250,20 @@ func (d *DAG) releaseTree(n *Node) {
 }
 
 // SerializeShared freezes the DAG's shard window into a blob whose
-// Root and Nodes alias the space's arenas. shardIdx/shardBits name the
-// window: of the full 2^λ root array only entries
+// Nodes alias the space's arena. shardIdx/shardBits name the window:
+// of the full 2^λ root array only entries
 // [shardIdx<<(λ-k), (shardIdx+1)<<(λ-k)) are live in a sharded engine,
-// so only that window is published (Blob.RootBase records its offset).
-// Folded nodes already stamped into the arena by any member DAG — an
-// earlier publish of this tenant or another tenant sharing the subtree
-// — are reused by index; only nodes the arena has never seen append
-// words. A blob of a near-duplicate tenant therefore costs a few
-// delta nodes and, when even the root window is bit-identical to one
-// already published, no new arena bytes at all.
+// so only that window is filled and published (Blob.RootBase records
+// its offset; shardBits 0 publishes the whole array). Folded nodes
+// already stamped into the arena by any member DAG are reused by index;
+// only nodes the arena has never seen append words. A NewSpace space
+// interns the window, so a near-duplicate tenant costs a few delta
+// nodes and, when even its window is bit-identical to one already
+// published, nothing; a NewArena space writes it into b's own Root.
 //
 // The caller must hold the space lock and must not run concurrently
-// with Set/Delete on any member DAG. On error the arenas are
-// unchanged except for possibly-appended (now unreachable) words, and
-// b must not be published.
+// with Set/Delete on any member DAG. On error b must not be published;
+// an index-exhaustion error latches (NeedsCompact) until Compact.
 func (d *DAG) SerializeShared(b *Blob, shardIdx, shardBits int) (*Blob, error) {
 	sp := d.space
 	if sp == nil {
@@ -193,18 +279,37 @@ func (d *DAG) SerializeShared(b *Blob, shardIdx, shardBits int) (*Blob, error) {
 	if shardBits < 0 || shardBits > lambda {
 		return nil, fmt.Errorf("pdag: shard bits %d outside [0,λ=%d]", shardBits, lambda)
 	}
+	if sp.full {
+		return nil, errArenaFull
+	}
 	if b == nil {
 		b = &Blob{}
 	}
-	rootLen := 1 << uint(lambda)
-	if cap(sp.scratchRoot) >= rootLen {
-		sp.scratchRoot = sp.scratchRoot[:rootLen]
-	} else {
-		sp.scratchRoot = make([]uint32, rootLen)
+	per := 1 << uint(lambda-shardBits)
+	win := b.Root
+	if sp.rootIdx != nil {
+		win = sp.scratchRoot // b.Root aliases the root arena
 	}
+	if cap(win) < per {
+		win = make([]uint32, per)
+	}
+	win = win[:per]
 
+	// Walk the plain region down the shard's index bits, collecting the
+	// default label in force, then fill the window from that subtree.
+	n, def := d.root, fib.NoLabel
+	for q := shardBits - 1; q >= 0 && n != nil; q-- {
+		if n.Label != fib.NoLabel {
+			def = n.Label
+		}
+		if shardIdx>>uint(q)&1 == 0 {
+			n = n.Left
+		} else {
+			n = n.Right
+		}
+	}
 	sp.newList = sp.newList[:0]
-	if err := d.fillRoot(sp.scratchRoot, lambda, d.root, 0, 0, fib.NoLabel, d.assignShared); err != nil {
+	if err := d.fillRoot(win, lambda-shardBits, n, 0, 0, def, d.assignShared); err != nil {
 		return nil, err
 	}
 	// Append the words of the newly stamped nodes; children are
@@ -213,16 +318,19 @@ func (d *DAG) SerializeShared(b *Blob, shardIdx, shardBits int) (*Blob, error) {
 	for _, n := range sp.newList {
 		sp.words = append(sp.words, wordFor(n.Left), wordFor(n.Right))
 	}
+	sp.idMark = sp.nextID
 
-	per := rootLen >> uint(shardBits)
-	lo := shardIdx * per
-	win := sp.scratchRoot[lo : lo+per]
-	b.Lambda, b.Width = lambda, d.Width
-	b.Root = sp.internRootWindow(win)
-	b.RootBase = lo
+	b.Lambda, b.Width, b.RootBase = lambda, d.Width, shardIdx*per
+	if sp.rootIdx != nil {
+		sp.scratchRoot = win
+		win = sp.internRootWindow(win)
+	}
+	b.Root = win
 	b.Nodes = sp.words[:len(sp.words):len(sp.words)]
 	return b, nil
 }
+
+var errArenaFull = errors.New("pdag: shared arena out of node indices; compact the space")
 
 // assignShared is the space-arena twin of assign: folded subtrees take
 // dense arena indices, stamped persistently under the generation epoch
@@ -274,11 +382,14 @@ func (d *DAG) assignShared(root *Node) (uint32, error) {
 }
 
 // stampShared assigns n the next arena index under the generation
-// epoch.
+// epoch. Running out of indices latches: the nodes stamped so far have
+// no words behind them, and only Compact's generation bump unstamps
+// them.
 func (sp *Space) stampShared(n *Node, epoch uint64) error {
 	idx := uint32(len(sp.words)/2 + len(sp.newList))
-	if idx > maxBlobIdx {
-		return fmt.Errorf("pdag: shared arena full (%d folded nodes); compact the space", idx)
+	if idx > arenaIdxLimit {
+		sp.full = true
+		return errArenaFull
 	}
 	n.serialEpoch, n.serialIdx = epoch, idx
 	sp.newList = append(sp.newList, n)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fibcomp/internal/fib"
 	"fibcomp/internal/trie"
 )
 
@@ -42,8 +43,14 @@ func sweepAddrs(n int, seed int64) []uint32 {
 // tenants folded into one space — and that the window/RootBase
 // mechanics hold for a sharded emission.
 func TestSharedSerializeEquivalence(t *testing.T) {
+	// Both kinds of space: interned windows, and windows written into
+	// the blob's own buffer.
+	testSharedSerializeEquivalence(t, NewSpace())
+	testSharedSerializeEquivalence(t, NewArena(1<<12))
+}
+
+func testSharedSerializeEquivalence(t *testing.T, sp *Space) {
 	const lambda, tenants = 12, 4
-	sp := NewSpace()
 	addrs := sweepAddrs(4096, 7)
 	sp.Lock()
 	defer sp.Unlock()
@@ -283,5 +290,146 @@ func TestSharedReleaseAndCompact(t *testing.T) {
 		if got := oldBlob.Lookup(a); got != oldWant[i] {
 			t.Fatalf("retired blob changed under compaction at %08x: %d != %d", a, got, oldWant[i])
 		}
+	}
+}
+
+// TestArenaGenerations walks one engine-owned arena through its life:
+// emissions append only what the updates created, NeedsCompact ends the
+// generation before the arena passes 1.5 × live, Compact sizes the next
+// one so that it never grows, and the array Recycle hands back is the
+// one the generation after next emits into.
+func TestArenaGenerations(t *testing.T) {
+	const lambda, windows = 11, 1 << 11
+	sp := NewArena(windows)
+	sp.Lock()
+	defer sp.Unlock()
+	tr := tenantTrie(t, 0, 2000, 0)
+	d, err := FromTrieShared(sp, tr, lambda)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	addrs := sweepAddrs(2048, 12)
+	var blob *Blob
+	var arrays []*uint32 // first word of each generation's array
+	emit := func() {
+		t.Helper()
+		if blob, err = d.SerializeShared(blob, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range addrs {
+			if got, want := blob.Lookup(a), tr.Lookup(a); got != want {
+				t.Fatalf("generation %d addr %08x: blob %d, trie %d", sp.Generation(), a, got, want)
+			}
+		}
+	}
+	sp.Compact()
+	emit()
+	if live := 8 * sp.FoldedInterior(); sp.SharedBytes() != live {
+		t.Fatalf("a fresh generation holds %d B for %d B live", sp.SharedBytes(), live)
+	}
+	arrays = append(arrays, &sp.words[0])
+	// A stationary churn: a pool of routes flapping, so the table
+	// keeps its size while the arena fills with dead paths.
+	pool := make([]fib.Entry, 200)
+	for i := range pool {
+		plen := 12 + rng.Intn(21)
+		pool[i] = fib.Entry{Addr: rng.Uint32() & fib.Mask(plen), Len: plen, NextHop: uint32(1 + rng.Intn(8))}
+	}
+	for sp.Generation() < 5 {
+		for i := 0; i < 40; i++ {
+			e := pool[rng.Intn(len(pool))]
+			if tr.Get(e.Addr, e.Len) == fib.NoLabel {
+				if err := d.Set(e.Addr, e.Len, e.NextHop); err != nil {
+					t.Fatal(err)
+				}
+				tr.Insert(e.Addr, e.Len, e.NextHop)
+			} else {
+				d.Delete(e.Addr, e.Len)
+				tr.Delete(e.Addr, e.Len)
+			}
+		}
+		if sp.NeedsCompact() {
+			if sp.Retired() {
+				sp.Recycle() // nothing reads the blob of two generations ago
+			}
+			if &sp.words[0] != arrays[len(arrays)-1] {
+				t.Fatalf("generation %d outgrew the array Compact sized for it (%d words)", sp.Generation(), len(sp.words))
+			}
+			sp.Compact()
+			blob = nil // the retired blob keeps its window; a fresh one for the new generation
+			emit()
+			arrays = append(arrays, &sp.words[0])
+			continue
+		}
+		before := len(sp.words)
+		emit()
+		if grew := len(sp.words) - before; grew > 2*40*(fib.W-lambda+1) {
+			t.Fatalf("40 updates appended %d words: more than the paths they rewrote", grew)
+		}
+		if 4*(len(sp.words)+windows) > 6*(2*sp.FoldedInterior()+windows) {
+			t.Fatalf("arena %d words past 1.5 × live (%d interiors) without NeedsCompact", len(sp.words), sp.FoldedInterior())
+		}
+	}
+	// Generations alternate between two arrays once both exist.
+	for g := 2; g < len(arrays); g++ {
+		if arrays[g] != arrays[g-2] {
+			t.Fatalf("generation %d did not reuse the array of generation %d", g+1, g-1)
+		}
+	}
+}
+
+// TestArenaIndexExhaustion: running out of node indices fails the
+// emission without publishing anything, latches until Compact — the
+// nodes stamped on the way have no words behind them — and the next
+// generation serves the same table.
+func TestArenaIndexExhaustion(t *testing.T) {
+	const lambda = 11
+	for _, sp := range []*Space{NewSpace(), NewArena(1 << lambda)} {
+		sp.Lock()
+		tr := tenantTrie(t, 0, 2000, 0)
+		d, err := FromTrieShared(sp, tr, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restore := SetArenaIndexLimit(uint32(sp.FoldedInterior() + 100))
+		blob, err := d.SerializeShared(nil, 0, 0)
+		if err != nil || sp.NeedsCompact() {
+			t.Fatalf("the table itself must fit: %v", err)
+		}
+		// Flap one route: the table stays the size it is while every
+		// emission appends the path the flap rewrote.
+		for n := 0; err == nil; n++ {
+			if n > 200 {
+				t.Fatal("never ran out of indices")
+			}
+			if n&1 == 0 {
+				if err := d.Set(0x0a0b0c00, 24, 9); err != nil {
+					t.Fatal(err)
+				}
+				tr.Insert(0x0a0b0c00, 24, 9)
+			} else {
+				d.Delete(0x0a0b0c00, 24)
+				tr.Delete(0x0a0b0c00, 24)
+			}
+			_, err = d.SerializeShared(nil, 0, 0)
+		}
+		if !sp.NeedsCompact() {
+			t.Fatalf("exhaustion (%v) did not ask for a compaction", err)
+		}
+		if _, err := d.SerializeShared(nil, 0, 0); err == nil {
+			t.Fatal("an emission succeeded into an exhausted generation")
+		}
+		sp.Compact()
+		if blob, err = d.SerializeShared(blob, 0, 0); err != nil || sp.NeedsCompact() {
+			t.Fatalf("emission into the new generation: %v", err)
+		}
+		for _, a := range sweepAddrs(2048, 14) {
+			if got, want := blob.Lookup(a), tr.Lookup(a); got != want {
+				t.Fatalf("addr %08x: blob %d, trie %d", a, got, want)
+			}
+		}
+		restore()
+		sp.Unlock()
 	}
 }

@@ -2,6 +2,7 @@ package ribd
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -280,7 +281,10 @@ func (s *Server) session(c net.Conn) {
 	br := bufio.NewReaderSize(c, s.opts.MaxLine)
 	line, seq := 0, uint64(0)
 	for {
-		if s.opts.IdleTimeout > 0 {
+		// The deadline guards the read that blocks: with lines still
+		// buffered the one set when the buffer last ran dry stands (a
+		// line split across reads waits on it, a moment short of whole).
+		if s.opts.IdleTimeout > 0 && br.Buffered() == 0 {
 			c.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
 		raw, err := br.ReadSlice('\n')
@@ -317,13 +321,14 @@ func (s *Server) session(c net.Conn) {
 			return // deferred flush drains the accepted tail
 		}
 		line++
-		text := strings.TrimSpace(string(raw))
+		// The line stays bytes in the read buffer until a branch needs
+		// more: an update is parsed in place and costs no allocation;
+		// the control verbs are rare and convert.
+		trimmed := bytes.TrimSpace(raw)
 		switch {
-		case text == "" || strings.HasPrefix(text, "#"):
-		// The verb tests must not allocate on the per-update hot
-		// path (strings.Fields would); the control branches
-		// themselves are rare and may.
-		case text == "sync" || strings.HasPrefix(text, "sync ") || strings.HasPrefix(text, "sync\t"):
+		case len(trimmed) == 0 || trimmed[0] == '#':
+		case hasVerb(trimmed, "sync"):
+			text := string(trimmed)
 			token := ""
 			if fields := strings.Fields(text); len(fields) > 1 {
 				token = fields[1]
@@ -337,7 +342,8 @@ func (s *Server) session(c net.Conn) {
 			}
 			fmt.Fprintf(c, "synced %s seq=%d applied=%d coalesced=%d staleness_bound=%s\n",
 				token, n, st.Applied, st.Coalesced, pl.MaxStaleness())
-		case text == "hello" || strings.HasPrefix(text, "hello ") || strings.HasPrefix(text, "hello\t"):
+		case hasVerb(trimmed, "hello"):
+			text := string(trimmed)
 			fields := strings.Fields(text)
 			restart, hasVRF := false, false
 			var vrfID uint16
@@ -396,13 +402,13 @@ func (s *Server) session(c net.Conn) {
 			fmt.Fprintf(c, "hello %s seq=%d restart_time=%s%s\n",
 				ps.name, ps.seq.Load(), pl.opts.RestartTime, suffix)
 		default:
-			u, perr := gen.ParseUpdate(text)
+			u, perr := gen.ParseUpdateBytes(trimmed)
 			if perr != nil {
 				s.sessionErrors.Add(1)
 				if ps != nil {
 					ps.resets.Add(1)
 				}
-				fmt.Fprintf(c, "error line %d: %q: %v\n", line, text, perr)
+				fmt.Fprintf(c, "error line %d: %q: %v\n", line, trimmed, perr)
 				return
 			}
 			if ps != nil && ps.backlog.Load() >= int64(pl.opts.PeerBudget) {
@@ -434,6 +440,13 @@ func (s *Server) session(c net.Conn) {
 	}
 }
 
+// hasVerb reports whether line is verb alone or verb followed by a
+// space or tab.
+func hasVerb(line []byte, verb string) bool {
+	n := len(verb)
+	return len(line) >= n && string(line[:n]) == verb && (len(line) == n || line[n] == ' ' || line[n] == '\t')
+}
+
 // isTimeout reports whether a read error is the idle deadline firing.
 func isTimeout(err error) bool {
 	ne, ok := err.(net.Error)
@@ -455,11 +468,11 @@ func (p *Plane) Feed(r io.Reader) (int, error) {
 	n, line := 0, 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 || text[0] == '#' {
 			continue
 		}
-		u, err := gen.ParseUpdate(text)
+		u, err := gen.ParseUpdateBytes(text)
 		if err != nil {
 			return n, fmt.Errorf("ribd: line %d: %q: %v", line, text, err)
 		}

@@ -1,7 +1,9 @@
 package shardfib
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fibcomp/internal/fib"
@@ -199,6 +201,7 @@ func TestApplyBatchZeroAllocs(t *testing.T) {
 			}
 		}
 		i := 0
+		_, _, before := f.Arena()
 		allocs := testing.AllocsPerRun(50, func() {
 			ops := opsA
 			if i&1 == 1 {
@@ -211,6 +214,12 @@ func TestApplyBatchZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("%v: steady batched republish allocated %.2f times per batch, want 0", format, allocs)
+		}
+		// The v1 contract includes the batches that start a new arena
+		// generation: the measured window must have crossed some, each
+		// into the array recycled from the generation before last.
+		if _, _, after := f.Arena(); format == FormatV1 && after < before+3 {
+			t.Fatalf("v1: %d compactions in the measured window, want ≥ 3", after-before)
 		}
 		// The instrumentation recorded the batches it rode along with:
 		// one histogram sample and one trace event per ApplyBatch, each
@@ -228,6 +237,64 @@ func TestApplyBatchZeroAllocs(t *testing.T) {
 		}
 		if ev.Ops != 512 || ev.Mutated == 0 || ev.Dirty == 0 || ev.Dirty > ev.Shards || ev.Bytes == 0 {
 			t.Fatalf("%v: trace event shape wrong: %+v", format, ev)
+		}
+	}
+}
+
+// TestCompactionIsObservable: a batch that starts a new arena
+// generation republishes every shard, and says so — its trace event
+// carries Dirty == Shards == 2^k although the ops touched one shard —
+// and the arena gauges on /metrics track the engine's own accounting.
+func TestCompactionIsObservable(t *testing.T) {
+	tab := testTable(t, 3000, 41)
+	f, err := Build(tab, 11, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := &Instruments{PublishSeconds: obs.NewHistogram(1e-9), Trace: obs.NewTraceRing(4)}
+	f.SetInstruments(ins)
+	reg := obs.NewRegistry()
+	RegisterMetrics(reg, ins, f, nil)
+
+	// Flap 64 host routes of one shard until the arena compacts.
+	ops := make([]Op, 64)
+	for batch := 0; ; batch++ {
+		if batch > 2000 {
+			t.Fatal("no compaction in 2000 batches")
+		}
+		for i := range ops {
+			ops[i] = Op{Addr: 0x0A000000 | uint32(i)<<8, Len: 32, Label: uint32(1 + batch%5)}
+		}
+		_, _, before := f.Arena()
+		if _, err := f.ApplyBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+		evs := ins.Trace.Snapshot()
+		ev := evs[0] // newest first
+		if _, _, after := f.Arena(); after == before {
+			if ev.Shards != 1 || ev.Dirty != 1 {
+				t.Fatalf("batch %d touched one shard: %+v", batch, ev)
+			}
+			continue
+		}
+		if ev.Shards != 16 || ev.Dirty != 16 {
+			t.Fatalf("compacting batch %d: Shards=%d Dirty=%d, want 16 and 16", batch, ev.Shards, ev.Dirty)
+		}
+		break
+	}
+	resident, live, n := f.Arena()
+	if n != 1 || resident != live || resident != f.SizeBytes() {
+		t.Fatalf("after the compaction: resident %d live %d SizeBytes %d compactions %d", resident, live, f.SizeBytes(), n)
+	}
+	var sb strings.Builder
+	reg.WriteProm(&sb)
+	for _, want := range []string{
+		fmt.Sprintf("shardfib_arena_resident_bytes %d\n", resident),
+		fmt.Sprintf("shardfib_arena_live_bytes %d\n", live),
+		"shardfib_compactions_total 1\n",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("/metrics lacks %q", want)
 		}
 	}
 }

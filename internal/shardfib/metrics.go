@@ -51,13 +51,14 @@ func SnapshotPinRetries() uint64 { return snapPinRetries.Load() }
 // ViewPinRetries is SnapshotPinRetries for the merged serving views.
 func ViewPinRetries() uint64 { return viewPinRetries.Load() }
 
-// snapshotBytes is one published snapshot's serialized size, the
-// per-shard term of SizeBytes. Callers hold the shard's mu (the
-// snapshot cannot be retired mid-read).
+// snapshotBytes is the per-shard term of SizeBytes: a v1 snapshot's
+// root window (its node words are the space's arena, counted once), a
+// v2 snapshot's private blob. Callers pin the snapshot or hold the
+// shard's mu (it cannot be recycled mid-read).
 func snapshotBytes(s *snapshot) int {
 	switch {
 	case s.blob != nil:
-		return s.blob.SizeBytes()
+		return 4 * len(s.blob.Root)
 	case s.blob2 != nil:
 		return s.blob2.SizeBytes()
 	default:
@@ -94,8 +95,17 @@ func RegisterMetrics(r *obs.Registry, ins *Instruments, f *FIB, f6 *FIB6) {
 	r.MustCounterFunc("shardfib_pin_retries_total", `kind="view"`, "", ViewPinRetries)
 	if f != nil {
 		r.MustGaugeFunc("shardfib_blob_bytes", `family="4",format="`+f.Format().String()+`"`,
-			"Serialized bytes of the published serving snapshots.",
+			"Resident bytes of the serving form: published snapshots, and the arena of an engine that owns one.",
 			func() uint64 { return uint64(f.SizeBytes()) })
+		r.MustGaugeFunc("shardfib_arena_resident_bytes", "",
+			"IPv4 engine's own arena and root windows, garbage included (0 without one).",
+			func() uint64 { resident, _, _ := f.Arena(); return uint64(resident) })
+		r.MustGaugeFunc("shardfib_arena_live_bytes", "",
+			"What a fresh build of the current IPv4 table would serve from; a compaction keeps resident within 1.5 × this.",
+			func() uint64 { _, live, _ := f.Arena(); return uint64(live) })
+		r.MustCounterFunc("shardfib_compactions_total", "",
+			"Arena generations started because garbage passed the bound or node indices ran out.",
+			func() uint64 { _, _, n := f.Arena(); return n })
 	}
 	if f6 != nil {
 		r.MustGaugeFunc("shardfib_blob_bytes", `family="6",format="`+f6.Format().String()+`"`, "",

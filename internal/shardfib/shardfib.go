@@ -13,14 +13,19 @@
 // barrier advance through interleaved lanes whose dependent node
 // fetches are in flight concurrently.
 //
-// Set/Delete take a per-shard writer lock, patch that shard's private
-// mutable DAG in place (the near-optimal incremental update of §4.3)
-// and freeze it into a serialized blob (§5.3) — reusing the buffers
-// of the snapshot retired two publishes ago, so steady churn
-// allocates nothing — then splice the shard's root slice into the
-// next merged view. An update at depth ≥ k therefore re-serializes
-// 1/2^k of the table, and in-flight lookups keep reading the previous
-// view until the swap lands.
+// Writes patch the owning shards' mutable DAGs in place (the
+// near-optimal incremental update of §4.3) and freeze each changed
+// shard into a serialized blob (§5.3). The default (v1) engine folds
+// all its shards into one pdag.Space arena: a publish appends only the
+// folded nodes the batch created and rewrites the changed shards'
+// 2^(λ-k)-entry root windows — into the window buffers of the
+// snapshots retired two publishes ago, so steady churn allocates
+// nothing — then splices the windows into the next merged view.
+// In-flight lookups keep reading the previous view until the swap
+// lands. The arena bounds its own garbage: when it would pass 1.5 ×
+// its live words the publish goes to a new generation instead, every
+// shard re-emitted into an array recycled from the generation before
+// last.
 //
 // Sharding preserves longest-prefix-match exactly: every prefix of an
 // address addr shares addr's top bits, so the shard owning addr holds
@@ -86,13 +91,14 @@ const mergedRootMaxLambda = 16
 // shard is one slice of the address space. cur is the published
 // immutable snapshot; dag is the writer-owned mutable prefix DAG
 // (with its control trie inside), guarded by mu together with the
-// right to publish. spare (also under mu) is the snapshot retired by
-// the previous publish: once no reader or merged view pins it, the
-// next publish serializes into its buffers in place, so steady-churn
-// republishing is double-buffered and allocation-free.
+// right to publish — and, in an engine with a space, by the space
+// lock every writer takes first. spare (same guards) is the snapshot
+// retired by the previous publish: once no reader or merged view pins
+// it, the next publish serializes into its buffers in place, so
+// steady-churn republishing is double-buffered and allocation-free.
 type shard struct {
 	mu    sync.Mutex
-	idx   int // this shard's index — names its root window in shared mode
+	idx   int // this shard's index — names its root window
 	dag   *pdag.DAG
 	spare *snapshot
 	cur   atomic.Pointer[snapshot]
@@ -114,6 +120,7 @@ type snapshot struct {
 	blob    *pdag.Blob
 	blob2   *pdag.BlobV2
 	dag     *pdag.DAG
+	gen     uint64 // arena generation blob.Nodes aliases
 	readers atomic.Int64
 }
 
@@ -141,8 +148,8 @@ func (s *snapshot) rootArray() []uint32 {
 }
 
 // rootBase reports the logical offset of rootArray()[0] within the
-// full 2^λ root: 0 for private blobs (whole array), the shard window's
-// offset for shared-arena blobs.
+// full 2^λ root: the shard window's offset for a v1 blob, 0 for a v2
+// blob, which carries the whole array.
 func (s *snapshot) rootBase() int {
 	if s.blob != nil {
 		return s.blob.RootBase
@@ -173,20 +180,24 @@ func (sh *shard) pin() *snapshot {
 func (s *snapshot) unpin() { s.readers.Add(-1) }
 
 // publish freezes the shard's writer DAG and swaps the published
-// snapshot, retiring the previous one. Serialization is the fast,
-// common case; an unserializable barrier (λ > 24) falls back to
-// refolding the control trie (the writer DAG itself must stay private
-// and mutable). The fallback cannot fail — Build already validated λ,
-// the only FromTrie error — so publication is infallible and
-// Set/Delete share one contract.
+// snapshot, retiring the previous one: a v1 engine emits into its
+// space's arena, publishing only the shard's root window; a v2 engine
+// serializes privately. An unserializable barrier (λ > 24) falls back
+// to refolding the control trie (the writer DAG itself must stay
+// private and mutable), which cannot fail: Build validated λ.
+//
+// It reports false, having published nothing, when the arena ran out
+// of node indices: emit then starts a new generation and republishes
+// with last set, so that a table too large for any generation takes
+// the fallback instead of looping.
 //
 // The snapshot retired two publishes ago is reused as the write
 // buffer when nothing still pins it (lookups drain in one batch walk
 // and the merged view's pin is released when the view itself is
-// recycled, so under steady churn the spare is always free and the
-// republish allocates nothing); a pinned spare is simply dropped to
-// the garbage collector and a fresh buffer allocated.
-func (sh *shard) publish(f *FIB) {
+// recycled, so under steady churn the republish allocates nothing); a
+// pinned spare is dropped to the garbage collector — its arena
+// generation with it, see recycleArena — and a fresh buffer allocated.
+func (sh *shard) publish(f *FIB, last bool) bool {
 	next := sh.spare
 	var buf *pdag.Blob
 	var buf2 *pdag.BlobV2
@@ -194,32 +205,31 @@ func (sh *shard) publish(f *FIB) {
 		buf, buf2 = next.blob, next.blob2
 		next.dag = nil
 	} else {
+		if next != nil && next.gen > f.leakGen {
+			f.leakGen = next.gen
+		}
 		next = &snapshot{}
 	}
 	if f.space != nil {
-		// Shared mode (BuildShared): emit into the space's arenas,
-		// publishing only this shard's root window. The caller holds
-		// the space lock.
-		if blob, err := sh.dag.SerializeShared(buf, sh.idx, f.shardBits); err == nil {
-			next.blob, next.blob2 = blob, nil
+		blob, err := sh.dag.SerializeShared(buf, sh.idx>>uint(f.shardBits-f.winBits), f.winBits)
+		if err == nil {
+			next.blob, next.gen = blob, f.space.Generation()
 			sh.spare = sh.cur.Swap(next)
-			return
+			return true
 		}
-	} else if f.format == FormatV2 {
-		if blob2, err := sh.dag.SerializeV2Into(buf2); err == nil {
-			next.blob, next.blob2 = nil, blob2
-			sh.spare = sh.cur.Swap(next)
-			return
+		if !last && f.space.NeedsCompact() {
+			return false
 		}
-	} else if blob, err := sh.dag.SerializeInto(buf); err == nil {
-		next.blob, next.blob2 = blob, nil
+	} else if blob2, err := sh.dag.SerializeV2Into(buf2); err == nil {
+		next.blob2 = blob2
 		sh.spare = sh.cur.Swap(next)
-		return
+		return true
 	}
 	if d, err := pdag.FromTrie(sh.dag.Control(), f.lambda); err == nil {
 		next.blob, next.blob2, next.dag = nil, nil, d
 		sh.spare = sh.cur.Swap(next)
 	}
+	return true
 }
 
 // combined is the merged serving view the read paths walk: the live
@@ -262,12 +272,29 @@ type FIB struct {
 	format    Format
 	shards    []shard
 
-	// space is non-nil for a FIB built with BuildShared: the shards'
-	// DAGs fold into this shared hash-cons universe and their blobs
-	// alias its arenas, so near-identical tenant FIBs sharing one space
-	// cost little more than one. Every write path takes the space lock
-	// first (lock order: space → applyMu → shard.mu → combMu).
-	space *pdag.Space
+	// space is the hash-cons universe a v1 engine's shard DAGs fold
+	// into and whose arena their blobs alias (nil for FormatV2): its own
+	// (own, the default), or one BuildShared was handed so that
+	// near-identical tenant FIBs cost little more than one. Every write
+	// takes the space lock first (lock order: space → applyMu →
+	// shard.mu → combMu). merged says the barrier admits a merged root;
+	// winBits is then shardBits, else 0: a shard publishes the 2^λ
+	// array whole. windows is the root words the shards publish together.
+	space   *pdag.Space
+	own     bool
+	merged  bool
+	winBits int
+	windows int
+
+	// leakGen is the newest arena generation a snapshot was dropped to
+	// the garbage collector from while still pinned: that generation's
+	// array can never be proven drained, so it is never recycled.
+	leakGen uint64
+
+	// The engine's own arena as emit left it, for SizeBytes and the
+	// gauges: resident and live node-word bytes, compactions so far.
+	arenaResident, arenaLive atomic.Int64
+	compactions              atomic.Uint64
 
 	comb atomic.Pointer[combined] // the published merged view
 
@@ -301,35 +328,13 @@ func Build(t *fib.Table, lambda, shards int) (*FIB, error) {
 
 // BuildFormat is Build with an explicit snapshot format. The format
 // is fixed for the FIB's lifetime: every publish — initial build,
-// Set/Delete republish, Reload — freezes its shard into that format,
-// and the merged view walks it with the matching batch engine.
+// update republish, Reload — freezes its shard into that format, and
+// the merged view walks it with the matching batch engine.
 func BuildFormat(t *fib.Table, lambda, shards int, format Format) (*FIB, error) {
-	if shards < 1 || shards > MaxShards || shards&(shards-1) != 0 {
-		return nil, fmt.Errorf("shardfib: shard count %d not a power of two in [1,%d]", shards, MaxShards)
-	}
 	if format != FormatV1 && format != FormatV2 {
 		return nil, fmt.Errorf("shardfib: unknown snapshot format %d", format)
 	}
-	f := &FIB{
-		shardBits: bits.TrailingZeros(uint(shards)),
-		lambda:    lambda,
-		format:    format,
-		shards:    make([]shard, shards),
-	}
-	f.shift = uint(fib.W - f.shardBits)
-	for i, tr := range f.partition(t) {
-		d, err := pdag.FromTrie(tr, lambda)
-		if err != nil {
-			return nil, err
-		}
-		f.shards[i].idx = i
-		f.shards[i].dag = d
-		f.shards[i].publish(f)
-	}
-	f.combMu.Lock()
-	f.rebuildCombined()
-	f.combMu.Unlock()
-	return f, nil
+	return build(nil, t, lambda, shards, format)
 }
 
 // BuildShared builds a FIB whose shard DAGs fold into sp — the
@@ -339,44 +344,61 @@ func BuildFormat(t *fib.Table, lambda, shards int, format Format) (*FIB, error) 
 // alias the space's shared arenas, and bit-identical root windows are
 // interned). Shared FIBs always publish v1 snapshots, and the barrier
 // must satisfy k ≤ λ ≤ 16 so every shard serves through the merged
-// root. Lookups are exactly as in a private FIB; writes additionally
-// take the space lock, serializing control-plane churn across tenants
-// (data-plane reads are never blocked).
+// root. Lookups are exactly as in a private FIB; writes take the space
+// lock, serializing control-plane churn across tenants (data-plane
+// reads are never blocked).
 func BuildShared(sp *pdag.Space, t *fib.Table, lambda, shards int) (*FIB, error) {
+	return build(sp, t, lambda, shards, FormatV1)
+}
+
+// build is the one constructor. A v1 engine handed no space makes its
+// own arena, and starts that arena's first generation once the fold
+// has said how large it must be.
+func build(sp *pdag.Space, t *fib.Table, lambda, shards int, format Format) (*FIB, error) {
 	if shards < 1 || shards > MaxShards || shards&(shards-1) != 0 {
 		return nil, fmt.Errorf("shardfib: shard count %d not a power of two in [1,%d]", shards, MaxShards)
 	}
 	f := &FIB{
 		shardBits: bits.TrailingZeros(uint(shards)),
 		lambda:    lambda,
-		format:    FormatV1,
+		format:    format,
 		shards:    make([]shard, shards),
 		space:     sp,
 	}
-	if lambda < f.shardBits || lambda > mergedRootMaxLambda {
+	f.shift = uint(fib.W - f.shardBits)
+	if f.merged = f.shardBits <= lambda && lambda <= mergedRootMaxLambda; f.merged {
+		f.winBits = f.shardBits
+	} else if sp != nil {
 		return nil, fmt.Errorf("shardfib: shared mode needs k=%d ≤ λ=%d ≤ %d", f.shardBits, lambda, mergedRootMaxLambda)
 	}
-	f.shift = uint(fib.W - f.shardBits)
-	sp.Lock()
-	defer sp.Unlock()
+	f.windows = shards << uint(max(min(lambda, fib.W)-f.winBits, 0))
+	if f.own = sp == nil && format == FormatV1; f.own {
+		f.space = pdag.NewArena(f.windows)
+	}
+	if f.space != nil {
+		f.space.Lock()
+		defer f.space.Unlock()
+	}
+	all := make([]int, shards)
 	for i, tr := range f.partition(t) {
-		d, err := pdag.FromTrieShared(sp, tr, lambda)
+		var d *pdag.DAG
+		var err error
+		if f.space != nil {
+			d, err = pdag.FromTrieShared(f.space, tr, lambda)
+		} else {
+			d, err = pdag.FromTrie(tr, lambda)
+		}
 		if err != nil {
 			return nil, err
 		}
-		f.shards[i].idx = i
-		f.shards[i].dag = d
-		f.shards[i].publish(f)
+		f.shards[i].idx, f.shards[i].dag, all[i] = i, d, i
 	}
-	f.combMu.Lock()
-	f.rebuildCombined()
-	f.combMu.Unlock()
+	if f.own {
+		f.space.Compact()
+	}
+	f.emit(all)
 	return f, nil
 }
-
-// Shared reports whether the FIB serves out of a shared hash-cons
-// space.
-func (f *FIB) Shared() bool { return f.space != nil }
 
 // partition routes every table entry into the trie of each shard it
 // covers. Later duplicates win, matching trie.FromTable.
@@ -453,20 +475,85 @@ func (f *FIB) pinCombined() *combined {
 	}
 }
 
-// publishShard refreshes a shard's published snapshot and the merged
-// view. Called with sh.mu held. Reclaiming the retired view first
-// releases its snapshot pins, which is what lets publish reuse the
-// shard's spare buffers; the rebuild afterwards is a short merge
-// (2^λ root words plus per-shard slice headers) serialized across
-// shards by combMu.
-func (f *FIB) publishShard(sh *shard) {
+// emit publishes the dirty shards and refreshes the merged view — a
+// short merge (2^λ root words plus per-shard slice headers) — or, when
+// the space wants a new arena generation first, re-emits every shard
+// into that. It returns the number of shards published and the bytes
+// written: root windows or private blobs, plus the arena's growth.
+// Called with the space lock held and no shard lock.
+func (f *FIB) emit(dirty []int) (int, int64) {
+	arena0, bytes := f.arenaResident.Load(), int64(0)
+	compact := f.space != nil && f.space.NeedsCompact()
+	for i := 0; i < len(dirty) && !compact; i++ {
+		sh := &f.shards[dirty[i]]
+		sh.mu.Lock()
+		compact = !sh.publish(f, false)
+		bytes += int64(snapshotBytes(sh.cur.Load()))
+		sh.mu.Unlock()
+	}
+	if compact {
+		f.space.Compact() // a shared space's owner republishes its other members
+		f.Republish()
+		f.compactions.Add(1)
+	} else {
+		f.rebuildCombined()
+	}
+	if f.own {
+		f.arenaResident.Store(int64(f.space.SharedBytes()))
+		f.arenaLive.Store(int64(8 * f.space.FoldedInterior()))
+	}
+	if compact {
+		return len(f.shards), int64(f.SizeBytes())
+	}
+	return len(dirty), bytes + f.arenaResident.Load() - arena0
+}
+
+// Republish re-emits every shard into the space's current arena
+// generation and refreshes the merged view, without changing any route
+// — what each member of a space runs after pdag.Space.Compact so that
+// its snapshots move off the retired arenas. The caller holds the
+// space lock, which excludes every writer of a member (the shard locks
+// are not taken).
+func (f *FIB) Republish() {
 	f.combMu.Lock()
 	f.reclaimCombined()
 	f.combMu.Unlock()
-	sh.publish(f)
-	f.combMu.Lock()
+	for i := range f.shards {
+		f.shards[i].publish(f, true)
+	}
 	f.rebuildCombined()
+}
+
+// reclaim opens a write: it frees the retired merged view, which
+// releases its snapshot pins so that the publishes to come can reuse
+// the shards' spare buffers, and then the retired arena generation.
+func (f *FIB) reclaim() {
+	f.combMu.Lock()
+	f.reclaimCombined()
 	f.combMu.Unlock()
+	if f.own && f.space.Retired() {
+		f.recycleArena()
+	}
+}
+
+// recycleArena hands the previous arena generation's array back to the
+// space once nothing can read it — the readers == 0 proof of snapshot
+// recycling, applied to every snapshot cut from that generation. The
+// compaction that retired it republished every shard, so those are the
+// shards' spares (never pinned anew: pin's validation fails) or were
+// dropped while pinned, which leakGen remembers. Called only as a write
+// opens: from Compact to Republish the current snapshots alias the array.
+func (f *FIB) recycleArena() {
+	old := f.space.Generation() - 1
+	if f.leakGen >= old {
+		return
+	}
+	for i := range f.shards {
+		if s := f.shards[i].spare; s != nil && s.gen == old && s.readers.Load() != 0 {
+			return
+		}
+	}
+	f.space.Recycle()
 }
 
 // reclaimCombined moves the retired merged view to the free slot once
@@ -489,15 +576,16 @@ func (f *FIB) reclaimCombined() {
 	}
 }
 
-// rebuildCombined publishes a fresh merged view of every shard's
-// current snapshot, reusing the drained view's buffers when one is
-// available. Called with combMu held. If the previous retired view is
-// still pinned when a new one retires, it is dropped to the garbage
-// collector with its snapshot pins intact — those pins are leaked
-// deliberately (the affected shards allocate one fresh buffer each on
-// their next publish); the window is a reader batch, so this is
-// effectively never hit.
+// rebuildCombined publishes, under combMu, a fresh merged view of
+// every shard's current snapshot, reusing the drained view's buffers
+// when one is available. If the previous retired view is still pinned
+// when a new one retires, it is dropped to the garbage collector with
+// its snapshot pins intact — those pins are leaked deliberately (the
+// affected shards allocate one fresh buffer each on their next
+// publish); the window is a reader batch, so this is rarely hit.
 func (f *FIB) rebuildCombined() {
+	f.combMu.Lock()
+	defer f.combMu.Unlock()
 	c := f.combFree
 	f.combFree = nil
 	if c == nil {
@@ -513,7 +601,7 @@ func (f *FIB) rebuildCombined() {
 	c.format = f.format
 	c.shardBits = f.shardBits
 	c.shift = f.shift
-	merged := f.shardBits <= f.lambda && f.lambda <= mergedRootMaxLambda
+	merged := f.merged
 	for s := range f.shards {
 		snap := f.shards[s].pin() // held until the view is reclaimed
 		c.snaps[s] = snap
@@ -594,62 +682,24 @@ func (f *FIB) LookupBatchInto(dst, addrs []uint32) {
 	v.Release()
 }
 
-// Set inserts or changes the association for prefix addr/plen. Each
-// covering shard (exactly one when plen ≥ k) is patched in place by
-// the incremental §4.3 update under its writer lock, then frozen and
-// republished with a single atomic view swap. Concurrent lookups are
-// never blocked; they read the previous view until the swap.
+// Set inserts or changes the association for prefix addr/plen: a
+// one-op ApplyBatch. Each covering shard (exactly one when plen ≥ k)
+// is patched in place by the incremental §4.3 update and republished
+// with a single atomic view swap. Concurrent lookups are never
+// blocked; they read the previous view until the swap.
 func (f *FIB) Set(addr uint32, plen int, label uint32) error {
-	if plen < 0 || plen > fib.W {
-		return fmt.Errorf("shardfib: prefix length %d out of range [0,%d]", plen, fib.W)
-	}
-	if label == fib.NoLabel || label > fib.MaxLabel {
+	if label == fib.NoLabel {
 		return fmt.Errorf("shardfib: label %d out of range [1,%d]", label, fib.MaxLabel)
 	}
-	addr &= fib.Mask(plen)
-	if f.space != nil {
-		f.space.Lock()
-		defer f.space.Unlock()
-	}
-	lo, hi := f.covering(addr, plen)
-	for s := lo; s <= hi; s++ {
-		sh := &f.shards[s]
-		sh.mu.Lock()
-		err := sh.dag.Set(addr, plen, label)
-		if err == nil {
-			f.publishShard(sh)
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := f.ApplyBatch([]Op{{Addr: addr, Len: plen, Label: label}})
+	return err
 }
 
 // Delete removes the association for prefix addr/plen from every
-// covering shard, reporting whether it was present in any of them.
+// covering shard, reporting whether it was present.
 func (f *FIB) Delete(addr uint32, plen int) bool {
-	if plen < 0 || plen > fib.W {
-		return false
-	}
-	addr &= fib.Mask(plen)
-	if f.space != nil {
-		f.space.Lock()
-		defer f.space.Unlock()
-	}
-	lo, hi := f.covering(addr, plen)
-	present := false
-	for s := lo; s <= hi; s++ {
-		sh := &f.shards[s]
-		sh.mu.Lock()
-		if sh.dag.Delete(addr, plen) {
-			present = true
-			f.publishShard(sh)
-		}
-		sh.mu.Unlock()
-	}
-	return present
+	n, _ := f.ApplyBatch([]Op{{Addr: addr, Len: plen, Label: fib.NoLabel}})
+	return n > 0
 }
 
 // Op is one route-update operation in the engine's own vocabulary:
@@ -663,13 +713,13 @@ type Op struct {
 }
 
 // ApplyBatch applies a batch of updates with one republish per
-// *changed shard* and one merged-view rebuild per *batch*, instead of
-// Set/Delete's one republish and rebuild per update — the write path
-// the ribd coalescing plane drives, where a burst of B updates
-// landing in the same shard costs B cheap DAG patches and a single
-// serialization. Ops are validated up front (an invalid op fails the
-// whole batch before any shard is mutated) and applied in order, so
-// two ops on the same prefix resolve to the later one.
+// *changed shard* and one merged-view rebuild per *batch* — the one
+// write path, which the ribd coalescing plane drives with bursts (B
+// updates landing in the same shard cost B cheap DAG patches and a
+// single emission) and Set/Delete with one op. Ops are validated up
+// front (an invalid op fails the whole batch before any shard is
+// mutated) and applied in order, so two ops on the same prefix resolve
+// to the later one.
 //
 // No-op updates — a re-announcement of the exact route already
 // installed, or a withdrawal of an absent prefix — are detected
@@ -717,20 +767,13 @@ func (f *FIB) ApplyBatch(ops []Op) (int, error) {
 		}
 	}
 	f.applyTouched = touched
-	// Reclaim the retired merged view once up front: that releases
-	// its snapshot pins, so each changed shard's publish below can
-	// serialize into its spare buffers (the batch-granular version of
-	// publishShard's reclaim-publish-rebuild cycle).
-	f.combMu.Lock()
-	f.reclaimCombined()
-	f.combMu.Unlock()
+	f.reclaim()
 	ins := f.ins.Load()
 	var start time.Time
 	if ins != nil {
 		start = time.Now()
 	}
-	mutated, published := 0, false
-	npub, pubBytes := 0, int64(0)
+	mutated, dirty := 0, touched[:0]
 	var firstErr error
 	for _, s := range touched {
 		sh := &f.shards[s]
@@ -766,21 +809,20 @@ func (f *FIB) ApplyBatch(ops []Op) (int, error) {
 				}
 			}
 		}
-		if changed {
-			sh.publish(f)
-			published = true
-			npub++
-			if ins != nil {
-				pubBytes += int64(snapshotBytes(sh.cur.Load()))
-			}
-		}
 		sh.mu.Unlock()
 		f.applyScratch[s] = f.applyScratch[s][:0]
+		if changed {
+			dirty = append(dirty, s) // in place: dirty trails the read index
+		}
 	}
-	if published {
-		f.combMu.Lock()
-		f.rebuildCombined()
-		f.combMu.Unlock()
+	// Publish once every shard is patched: the space then knows how
+	// many nodes the whole batch created when it rules on compaction —
+	// which republishes every shard, so such a batch's trace event
+	// carries Dirty == Shards == 2^k.
+	ntouched, npub, pubBytes := len(touched), 0, int64(0)
+	if len(dirty) > 0 {
+		npub, pubBytes = f.emit(dirty)
+		ntouched = max(ntouched, npub)
 	}
 	if ins != nil {
 		d := time.Since(start)
@@ -790,7 +832,7 @@ func (f *FIB) ApplyBatch(ops []Op) (int, error) {
 			Kind:    obs.TraceApplyBatch,
 			Family:  4,
 			Format:  uint8(f.format),
-			Shards:  int32(len(touched)),
+			Shards:  int32(ntouched),
 			Dirty:   int32(npub),
 			Ops:     int32(len(ops)),
 			Mutated: int32(mutated),
@@ -830,8 +872,9 @@ func (f *FIB) Reload(t *fib.Table) error {
 		sh.mu.Lock()
 		old := sh.dag
 		sh.dag = d
-		f.publishShard(sh)
 		sh.mu.Unlock()
+		f.reclaim()
+		f.emit([]int{i})
 		if f.space != nil {
 			// Return the replaced DAG's folded references to the space
 			// so the old table does not pin its subtrees forever.
@@ -855,28 +898,11 @@ func (f *FIB) Reload(t *fib.Table) error {
 	return nil
 }
 
-// RepublishAll re-freezes and republishes every shard from its writer
-// DAG without changing any route — the step each member FIB of a
-// compacted space runs so its snapshots move off the retired arenas
-// (see pdag.Space.Compact). Harmless on a private FIB.
-func (f *FIB) RepublishAll() {
-	if f.space != nil {
-		f.space.Lock()
-		defer f.space.Unlock()
-	}
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		f.publishShard(sh)
-		sh.mu.Unlock()
-	}
-}
-
 // ModelBytes reports the summed §4.2 model size of the shard DAGs.
-// Replicated short prefixes and per-shard leaf tables make this
-// slightly larger than the flat DAG's — the memory cost of sharding.
-// In shared mode the folded region is the whole space's (the maps are
-// shared), so this is the model cost of all co-tenants together.
+// Replicated short prefixes make this slightly larger than the flat
+// DAG's — the memory cost of sharding. The folded region of an engine
+// with a space is the space's (one index across its shards, and across
+// co-tenants in shared mode), counted once.
 func (f *FIB) ModelBytes() int {
 	if f.space != nil {
 		f.space.Lock()
@@ -886,52 +912,39 @@ func (f *FIB) ModelBytes() int {
 	for i := range f.shards {
 		sh := &f.shards[i]
 		sh.mu.Lock()
-		total += sh.dag.ModelBytes()
+		st := sh.dag.Stats()
 		sh.mu.Unlock()
+		total += st.ModelBits
+		if f.space != nil && i > 0 {
+			total -= st.FoldedInterior*2*st.PointerBits + st.FoldedLeaves*bits.Len(uint(st.Delta))
+		}
 	}
-	return total
+	return (total + 7) / 8
 }
 
-// SizeBytes reports the summed byte size of the published serving
-// snapshots (the line-card form actually walked by lookups). Each
-// blob carries a 2^λ-entry root array, so 2^k shards impose a
-// 2^(k+λ+2)-byte floor regardless of table size — negligible for
-// FIB-scale tables, dominant for toy ones.
+// SizeBytes reports the resident byte size of the serving form (the
+// line-card form actually walked by lookups): every shard's published
+// root window or private blob, plus — for an engine that owns its
+// arena — the arena's node words, garbage included (at most half again
+// the live ones). A member of a shared space reports its windows only;
+// the arena is counted once, by Space.SharedBytes.
 func (f *FIB) SizeBytes() int {
-	total := 0
+	total := int(f.arenaResident.Load())
 	for i := range f.shards {
 		s := f.shards[i].pin()
-		switch {
-		case s.blob != nil && f.space != nil:
-			// Shared blobs alias the space's arenas; the per-tenant
-			// attributable bytes are just the published root windows.
-			// The arena itself is counted once, by Space.SharedBytes.
-			total += 4 * len(s.blob.Root)
-		case s.blob != nil:
-			total += s.blob.SizeBytes()
-		case s.blob2 != nil:
-			total += s.blob2.SizeBytes()
-		default:
-			total += s.dag.ModelBytes()
-		}
+		total += snapshotBytes(s)
 		s.unpin()
 	}
 	return total
 }
 
-// Nodes reports the summed node count across the writer DAGs (in
-// shared mode the folded counts span the whole space).
-func (f *FIB) Nodes() int {
-	if f.space != nil {
-		f.space.Lock()
-		defer f.space.Unlock()
+// Arena reports the bytes of the engine's own arena and root windows —
+// resident, and live (what a fresh build of the same table would
+// serve from) — and how many times the arena has compacted; zeros for
+// an engine without one.
+func (f *FIB) Arena() (resident, live int, compactions uint64) {
+	if !f.own {
+		return 0, 0, 0
 	}
-	total := 0
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		total += sh.dag.Nodes()
-		sh.mu.Unlock()
-	}
-	return total
+	return int(f.arenaResident.Load()) + 4*f.windows, int(f.arenaLive.Load()) + 4*f.windows, f.compactions.Load()
 }

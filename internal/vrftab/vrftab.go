@@ -71,6 +71,15 @@ func New(lambda, lambda6, shards int) *Registry {
 	}
 	empty := map[uint16]*Tenant{}
 	r.tabs.Store(&empty)
+	// Whoever starts a new arena generation — Compact below, or a
+	// tenant's write that ran the current one out of node indices —
+	// has every published tenant re-emit into it, under the space lock
+	// it already holds.
+	r.space.OnCompact(func() {
+		for _, tn := range *r.tabs.Load() {
+			tn.V4.Republish()
+		}
+	})
 	return r
 }
 
@@ -232,9 +241,6 @@ func (r *Registry) Compact() {
 	r.space.Lock()
 	r.space.Compact()
 	r.space.Unlock()
-	for _, tn := range *r.tabs.Load() {
-		tn.V4.RepublishAll()
-	}
 }
 
 // RegisterMetrics exposes the registry-wide gauges plus one gauge
