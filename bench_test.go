@@ -9,26 +9,19 @@
 package fibcomp_test
 
 import (
-	"encoding/binary"
 	"math/rand"
-	"net"
 	"sync"
 	"testing"
-	"time"
 
-	"fibcomp/internal/experiments"
 	"fibcomp/internal/fib"
 	"fibcomp/internal/gen"
 	"fibcomp/internal/hwsim"
 	"fibcomp/internal/ip6"
 	"fibcomp/internal/lctrie"
-	"fibcomp/internal/lookupd"
 	"fibcomp/internal/mdag"
 	"fibcomp/internal/ortc"
 	"fibcomp/internal/patricia"
 	"fibcomp/internal/pdag"
-	"fibcomp/internal/ribd"
-	"fibcomp/internal/shardfib"
 	"fibcomp/internal/trie"
 	"fibcomp/internal/xbw"
 )
@@ -397,585 +390,6 @@ func BenchmarkIPv6_XBWLookup(b *testing.B) {
 	}
 	_ = sink
 	b.ReportMetric(float64(x.SizeBits())/8, "bytes")
-}
-
-// ---- Serving: parallel batch lookups, with and without route churn ----
-//
-// The flat prefix DAG is one mutable pointer structure: a server must
-// wrap it in an RWMutex to survive concurrent updates, so every batch
-// pays lock traffic and every update blocks all readers. The sharded
-// engine publishes 2^k independent DAGs behind atomic copy-on-write
-// pointers: batches read lock-free snapshots while an update rebuilds
-// one shard off to the side. Each benchmark op is one 256-address
-// batch; the churn variants run an unthrottled background updater.
-
-const serveBatch = 256
-
-// serveBatches slices the benchmark key set into batches.
-func serveBatches(keys []uint32) [][]uint32 {
-	batches := make([][]uint32, 0, len(keys)/serveBatch)
-	for i := 0; i+serveBatch <= len(keys); i += serveBatch {
-		batches = append(batches, keys[i:i+serveBatch])
-	}
-	return batches
-}
-
-func BenchmarkServing_ParallelBatchFlat(b *testing.B) {
-	t, keys, _ := benchFIB(b)
-	d, err := pdag.Build(t, 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	batches := serveBatches(keys)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var sink uint32
-		for i := 0; pb.Next(); i++ {
-			for _, a := range batches[i%len(batches)] {
-				sink += d.Lookup(a)
-			}
-		}
-		_ = sink
-	})
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-}
-
-func benchParallelBatchSharded(b *testing.B, shards int, format shardfib.Format) {
-	t, keys, _ := benchFIB(b)
-	f, err := shardfib.BuildFormat(t, 11, shards, format)
-	if err != nil {
-		b.Fatal(err)
-	}
-	batches := serveBatches(keys)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]uint32, serveBatch)
-		for i := 0; pb.Next(); i++ {
-			f.LookupBatchInto(dst, batches[i%len(batches)])
-		}
-	})
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-}
-
-func BenchmarkServing_ParallelBatchSharded4(b *testing.B) {
-	benchParallelBatchSharded(b, 4, shardfib.FormatV1)
-}
-func BenchmarkServing_ParallelBatchSharded16(b *testing.B) {
-	benchParallelBatchSharded(b, 16, shardfib.FormatV1)
-}
-
-// The V2 variant serves stride-compressed snapshots through the same
-// merged view — the bench smoke runs both formats side by side.
-func BenchmarkServing_ParallelBatchSharded16V2(b *testing.B) {
-	benchParallelBatchSharded(b, 16, shardfib.FormatV2)
-}
-
-// BenchmarkServing_ParallelBatchBlobLanes serves the flat serialized
-// blob through the software-pipelined batch walker — the single-shard
-// engine fibserve uses at -shards 1, and the upper bound for what the
-// sharded engine's merged view can reach.
-func BenchmarkServing_ParallelBatchBlobLanes(b *testing.B) {
-	t, keys, _ := benchFIB(b)
-	d, err := pdag.Build(t, 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blob, err := d.Serialize()
-	if err != nil {
-		b.Fatal(err)
-	}
-	batches := serveBatches(keys)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]uint32, serveBatch)
-		for i := 0; pb.Next(); i++ {
-			blob.LookupBatchInto(dst, batches[i%len(batches)])
-		}
-	})
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-}
-
-// benchServingWire measures the full datagram path — UDP in, batched
-// lookup through the sharded engine, UDP out — with the given number
-// of lookupd serve loops (per-worker reuseport sockets where the
-// platform has them). Each op is one 256-address batch round-tripped
-// over loopback; the CI bench smoke runs it at -benchtime 1x to keep
-// the wire path's build-and-serve cycle under regression guard.
-func benchServingWire(b *testing.B, workers int) {
-	t, keys, _ := benchFIB(b)
-	f, err := shardfib.Build(t, 11, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := lookupd.ListenOptions("127.0.0.1:0", f, nil, lookupd.Options{
-		Workers:   workers,
-		ReusePort: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	conn, err := net.Dial("udp", s.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	req := make([]byte, 4*serveBatch)
-	for i := 0; i < serveBatch; i++ {
-		binary.BigEndian.PutUint32(req[4*i:], keys[i%len(keys)])
-	}
-	resp := make([]byte, 4*serveBatch)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := conn.Write(req); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := conn.Read(resp); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-}
-
-func BenchmarkServing_WireSharded16(b *testing.B)   { benchServingWire(b, 1) }
-func BenchmarkServing_WireSharded16W2(b *testing.B) { benchServingWire(b, 2) }
-
-// BenchmarkServing_ParallelBatchBlobV2Lanes is the stride-compressed
-// counterpart of BlobLanes: same keys, same pipeline, but the folded
-// region is walked four levels per touch. On uniform keys the two are
-// close (most lookups resolve in the shared root array); the Deep
-// benchmarks below expose the chain-length difference.
-func BenchmarkServing_ParallelBatchBlobV2Lanes(b *testing.B) {
-	t, keys, _ := benchFIB(b)
-	d, err := pdag.Build(t, 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blob, err := d.SerializeV2()
-	if err != nil {
-		b.Fatal(err)
-	}
-	batches := serveBatches(keys)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]uint32, serveBatch)
-		for i := 0; pb.Next(); i++ {
-			blob.LookupBatchInto(dst, batches[i%len(batches)])
-		}
-	})
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-}
-
-// The Deep benchmarks run the adversarial long-prefix workload of
-// gen.DeepFIB — every lookup walks the folded region to full depth —
-// the regime the ⌈(W−λ)/4⌉ stride chain is built for. The v1/v2 pair
-// shares table, keys and schedule; only the serialized format
-// differs.
-var (
-	deepOnce  sync.Once
-	deepTable *fib.Table
-	deepKeys  []uint32
-)
-
-func deepFIB(b *testing.B) (*fib.Table, []uint32) {
-	b.Helper()
-	deepOnce.Do(func() {
-		var err error
-		deepTable, deepKeys, err = gen.DeepFIB(rand.New(rand.NewSource(9)), 40000, 1<<14)
-		if err != nil {
-			panic(err)
-		}
-	})
-	return deepTable, deepKeys
-}
-
-// batchBlob is what the deep benchmarks need from either serialized
-// format.
-type batchBlob interface {
-	LookupBatchInto(dst, addrs []uint32)
-	SizeBytes() int
-}
-
-func benchDeepBlob(b *testing.B, v2 bool) {
-	t, keys := deepFIB(b)
-	d, err := pdag.Build(t, 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var blob batchBlob
-	if v2 {
-		blob, err = d.SerializeV2()
-	} else {
-		blob, err = d.Serialize()
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(blob.SizeBytes()), "bytes")
-	batches := serveBatches(keys)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]uint32, serveBatch)
-		for i := 0; pb.Next(); i++ {
-			blob.LookupBatchInto(dst, batches[i%len(batches)])
-		}
-	})
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-}
-
-func BenchmarkServing_DeepBatchBlobLanes(b *testing.B)   { benchDeepBlob(b, false) }
-func BenchmarkServing_DeepBatchBlobV2Lanes(b *testing.B) { benchDeepBlob(b, true) }
-
-func BenchmarkServing_ChurnBatchFlat(b *testing.B) {
-	t, keys, _ := benchFIB(b)
-	d, err := pdag.Build(t, 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	us := gen.RandomUpdates(rand.New(rand.NewSource(6)), t, 4096)
-	batches := serveBatches(keys)
-	var (
-		mu   sync.RWMutex
-		stop = make(chan struct{})
-		done = make(chan struct{})
-		nup  uint64
-	)
-	go func() {
-		defer close(done)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			u := us[i&4095]
-			mu.Lock()
-			if u.Withdraw {
-				d.Delete(u.Addr, u.Len)
-			} else if err := d.Set(u.Addr, u.Len, u.NextHop); err != nil {
-				mu.Unlock()
-				b.Error(err)
-				return
-			}
-			mu.Unlock()
-			nup++
-		}
-	}()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var sink uint32
-		for i := 0; pb.Next(); i++ {
-			mu.RLock()
-			for _, a := range batches[i%len(batches)] {
-				sink += d.Lookup(a)
-			}
-			mu.RUnlock()
-		}
-		_ = sink
-	})
-	b.StopTimer()
-	close(stop)
-	<-done
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-	b.ReportMetric(float64(nup)/b.Elapsed().Seconds(), "updates/s")
-}
-
-func BenchmarkServing_ChurnBatchSharded16(b *testing.B) {
-	t, keys, _ := benchFIB(b)
-	f, err := shardfib.Build(t, 11, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	us := gen.RandomUpdates(rand.New(rand.NewSource(6)), t, 4096)
-	batches := serveBatches(keys)
-	var (
-		stop = make(chan struct{})
-		done = make(chan struct{})
-		nup  uint64
-	)
-	go func() {
-		defer close(done)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			u := us[i&4095]
-			if u.Withdraw {
-				f.Delete(u.Addr, u.Len)
-			} else if err := f.Set(u.Addr, u.Len, u.NextHop); err != nil {
-				b.Error(err)
-				return
-			}
-			nup++
-		}
-	}()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]uint32, serveBatch)
-		for i := 0; pb.Next(); i++ {
-			f.LookupBatchInto(dst, batches[i%len(batches)])
-		}
-	})
-	b.StopTimer()
-	close(stop)
-	<-done
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-	b.ReportMetric(float64(nup)/b.Elapsed().Seconds(), "updates/s")
-}
-
-// The ChurnRibd benchmarks are the churn-under-load scenario of the
-// live route-update plane: concurrent peers push updates at a fixed
-// combined rate through ribd's coalescing queue and paced republish
-// while the merged batch-lookup path is measured. Reported next to
-// lookups/s: the applied (post-coalescing) update rate the engine
-// absorbed during the measurement window.
-func benchRibdChurn(b *testing.B, format shardfib.Format) {
-	t, keys, _ := benchFIB(b)
-	f, err := shardfib.BuildFormat(t, 11, 16, format)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := ribd.New(f, ribd.Options{})
-	// BGP-like churn (long-prefix-biased, announce-dominated): the
-	// Fig 5 feed shape, whose incremental patches stay small and deep.
-	us := gen.BGPUpdates(rand.New(rand.NewSource(8)), t, 1<<14)
-	// Apply the whole feed once before timing, so the measured window
-	// serves the steady-state table shape. (A BGP feed adds long
-	// prefixes, deepening uniform lookups; without this warmup the
-	// bench would charge that table change to the live plane. The
-	// matching idle baseline is the sharded16-ribd-idle row of
-	// fibbench -serving.)
-	p.EnqueueBatch(us)
-	p.Sync()
-	// The offered load (peers x rate, owed-based pacing) is shared
-	// with fibbench -serving via experiments.ChurnLoad, so the
-	// go-bench and harness rows measure the same scenario.
-	stop := experiments.ChurnLoad(p, us, experiments.ChurnPeers, experiments.ChurnRate)
-	time.Sleep(100 * time.Millisecond) // reach steady churn before measuring
-	st0 := p.Stats()
-	batches := serveBatches(keys)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]uint32, serveBatch)
-		for i := 0; pb.Next(); i++ {
-			f.LookupBatchInto(dst, batches[i%len(batches)])
-		}
-	})
-	b.StopTimer()
-	st1 := p.Stats()
-	stop()
-	if err := p.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-	b.ReportMetric(float64(st1.Applied-st0.Applied)/b.Elapsed().Seconds(), "applied/s")
-	b.ReportMetric(float64(st1.Mutated-st0.Mutated)/b.Elapsed().Seconds(), "mutated/s")
-}
-
-func BenchmarkServing_ChurnRibdSharded16(b *testing.B)   { benchRibdChurn(b, shardfib.FormatV1) }
-func BenchmarkServing_ChurnRibdSharded16V2(b *testing.B) { benchRibdChurn(b, shardfib.FormatV2) }
-
-// BenchmarkServing_ShardedUpdate measures the write-side price of
-// copy-on-write sharding: one Set = one shard republish (1/16 of the
-// table) versus the flat DAG's in-place Theorem 3 patch of Fig 5. One
-// warmup cycle applies every update before the clock starts, so the
-// measurement is steady-state churn — the regime the zero-allocation
-// republish contract covers — rather than first-touch table growth.
-func BenchmarkServing_ShardedUpdate16(b *testing.B)   { benchShardedUpdate(b, shardfib.FormatV1) }
-func BenchmarkServing_ShardedUpdate16V2(b *testing.B) { benchShardedUpdate(b, shardfib.FormatV2) }
-
-func benchShardedUpdate(b *testing.B, format shardfib.Format) {
-	t, _, _ := benchFIB(b)
-	f, err := shardfib.BuildFormat(t, 11, 16, format)
-	if err != nil {
-		b.Fatal(err)
-	}
-	us := gen.RandomUpdates(rand.New(rand.NewSource(7)), t, 4096)
-	apply := func(u gen.Update) {
-		if u.Withdraw {
-			f.Delete(u.Addr, u.Len)
-		} else if err := f.Set(u.Addr, u.Len, u.NextHop); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, u := range us {
-		apply(u)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		apply(us[i&4095])
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(f.ModelBytes()), "bytes")
-}
-
-// ---- IPv6 dual-stack serving: the ip6 blob's interleaved lanes flat
-// and through the sharded v6 engine, plus the sharded steady-churn
-// update cost — the go-bench counterpart of the fibbench -serving
-// ip6-* rows.
-
-func serve6Batches(keys []ip6.Addr) [][]ip6.Addr {
-	batches := make([][]ip6.Addr, 0, len(keys)/serveBatch)
-	for i := 0; i+serveBatch <= len(keys); i += serveBatch {
-		batches = append(batches, keys[i:i+serveBatch])
-	}
-	return batches
-}
-
-// bench6Lanes resolves the flat v6 walker for one format: the v1
-// bit-at-a-time blob or the stride-4 BlobV2 chain.
-func bench6Lanes(b *testing.B, v2 bool) func(dst []uint32, addrs []ip6.Addr) {
-	b.Helper()
-	t, _ := bench6(b)
-	d, err := ip6.Build(t, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if v2 {
-		blob, err := d.SerializeV2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		return blob.LookupBatchInto
-	}
-	blob, err := d.Serialize()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return blob.LookupBatchInto
-}
-
-func benchIP6Blob(b *testing.B, v2 bool) {
-	lookup := bench6Lanes(b, v2)
-	_, keys := bench6(b)
-	batches := serve6Batches(keys)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]uint32, serveBatch)
-		for i := 0; pb.Next(); i++ {
-			lookup(dst, batches[i%len(batches)])
-		}
-	})
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-}
-
-func BenchmarkServing_IP6ParallelBatchBlobLanes(b *testing.B)   { benchIP6Blob(b, false) }
-func BenchmarkServing_IP6ParallelBatchBlobV2Lanes(b *testing.B) { benchIP6Blob(b, true) }
-
-var (
-	bench6DeepOnce sync.Once
-	bench6DeepTab  *ip6.Table
-	bench6DeepKeys []ip6.Addr
-)
-
-// benchIP6Deep walks the adversarial deep-chain instance: /60–/64
-// routes probed exactly, so every lookup chains ~48 levels below the
-// barrier — the dependent-load regime where the stride-4 format's 4×
-// shorter chain is the whole story (mirrors the fibbench ip6-deep-*
-// rows).
-func benchIP6Deep(b *testing.B, v2 bool) {
-	bench6DeepOnce.Do(func() {
-		var err error
-		bench6DeepTab, bench6DeepKeys, err = ip6.DeepFIB6(rand.New(rand.NewSource(9)), 40000, 1<<14)
-		if err != nil {
-			panic(err)
-		}
-	})
-	d, err := ip6.Build(bench6DeepTab, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var lookup func(dst []uint32, addrs []ip6.Addr)
-	if v2 {
-		blob, err := d.SerializeV2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		lookup = blob.LookupBatchInto
-	} else {
-		blob, err := d.Serialize()
-		if err != nil {
-			b.Fatal(err)
-		}
-		lookup = blob.LookupBatchInto
-	}
-	batches := serve6Batches(bench6DeepKeys)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]uint32, serveBatch)
-		for i := 0; pb.Next(); i++ {
-			lookup(dst, batches[i%len(batches)])
-		}
-	})
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-}
-
-func BenchmarkServing_IP6DeepBatchBlobLanes(b *testing.B)   { benchIP6Deep(b, false) }
-func BenchmarkServing_IP6DeepBatchBlobV2Lanes(b *testing.B) { benchIP6Deep(b, true) }
-
-func benchIP6Sharded(b *testing.B, format shardfib.Format) {
-	t, keys := bench6(b)
-	f, err := shardfib.Build6Format(t, 16, 16, format)
-	if err != nil {
-		b.Fatal(err)
-	}
-	batches := serve6Batches(keys)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]uint32, serveBatch)
-		for i := 0; pb.Next(); i++ {
-			f.LookupBatchInto(dst, batches[i%len(batches)])
-		}
-	})
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-}
-
-func BenchmarkServing_IP6ParallelBatchSharded16(b *testing.B) {
-	benchIP6Sharded(b, shardfib.FormatV1)
-}
-
-func BenchmarkServing_IP6ParallelBatchSharded16V2(b *testing.B) {
-	benchIP6Sharded(b, shardfib.FormatV2)
-}
-
-func BenchmarkServing_IP6ShardedUpdate16(b *testing.B) {
-	benchIP6ShardedUpdate(b, shardfib.FormatV1)
-}
-
-func BenchmarkServing_IP6ShardedUpdate16V2(b *testing.B) {
-	benchIP6ShardedUpdate(b, shardfib.FormatV2)
-}
-
-func benchIP6ShardedUpdate(b *testing.B, format shardfib.Format) {
-	t, _ := bench6(b)
-	f, err := shardfib.Build6Format(t, 16, 16, format)
-	if err != nil {
-		b.Fatal(err)
-	}
-	us := gen.BGPUpdates6(rand.New(rand.NewSource(7)), t, 4096)
-	apply := func(u gen.Update) {
-		if u.Withdraw {
-			f.Delete(u.Addr6, u.Len)
-		} else if err := f.Set(u.Addr6, u.Len, u.NextHop); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Two passes: both halves of every shard's double buffer reach the
-	// feed's high-water blob size before the timer starts.
-	for pass := 0; pass < 2; pass++ {
-		for _, u := range us {
-			apply(u)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		apply(us[i&4095])
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(f.ModelBytes()), "bytes")
 }
 
 func BenchmarkBaseline_PatriciaLookup(b *testing.B) {

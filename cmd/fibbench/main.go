@@ -5,26 +5,15 @@
 //	fibbench -all
 //	fibbench -table1 -scale 1
 //	fibbench -fig5 -runs 15 -updates 7500
-//	fibbench -serving -json BENCH_serving.json -label pr2
 //
-// -serving measures the serving hot paths (batched lookups in both
-// serialized formats — v1 blob and stride-compressed BlobV2 — on
-// uniform and adversarial deep-walk workloads, the sharded republish
-// per format, and the ribd churn-under-load scenario: lookup
-// throughput while concurrent peers stream BGP-like updates through
-// the coalescing plane, next to its steady-state idle baseline — and
-// the wire sweep: the full UDP datagram path through 1..-workers
-// parallel lookupd serve loops on reuseport-sharded sockets); with
-// -json the results are appended to a trajectory file, one labeled
-// run per invocation, so PRs keep their before/after numbers
-// machine-readable.
+// The serving engine is measured by bench/ (the process-level
+// benchmark of the shipped fibserve), not here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"fibcomp/internal/experiments"
 )
@@ -37,21 +26,17 @@ func main() {
 		fig6    = flag.Bool("fig6", false, "regenerate Fig 6 (Bernoulli FIBs)")
 		fig7    = flag.Bool("fig7", false, "regenerate Fig 7 (string model)")
 		ablate  = flag.Bool("ablation", false, "run the design-choice ablations")
-		serving = flag.Bool("serving", false, "measure the serving engine hot paths")
 		all     = flag.Bool("all", false, "run everything")
 		scale   = flag.Float64("scale", 0.125, "instance scale relative to the paper (1 = full)")
 		seed    = flag.Int64("seed", 1, "generator seed")
 		runs    = flag.Int("runs", 3, "Fig 5: measurement runs per barrier (paper: 15)")
 		updates = flag.Int("updates", 1500, "Fig 5: updates per run (paper: 7500)")
 		bits    = flag.Int("bits", 17, "Fig 7: lg of the string length (paper: 17)")
-		jsonOut = flag.String("json", "", "serving: append machine-readable results to this trajectory file")
-		label   = flag.String("label", "", "serving: label for the -json run (default: timestamp)")
-		workers = flag.Int("workers", 4, "serving: top of the wire sweep's worker-count ladder (1, 2, ... up to this)")
 	)
 	flag.Parse()
 
-	cfg := experiments.Config{Seed: *seed, Scale: *scale, WireWorkers: *workers}
-	if !(*table1 || *table2 || *fig5 || *fig6 || *fig7 || *ablate || *serving) {
+	cfg := experiments.Config{Seed: *seed, Scale: *scale}
+	if !(*table1 || *table2 || *fig5 || *fig6 || *fig7 || *ablate) {
 		*all = true
 	}
 	run := func(name string, f func() error) {
@@ -81,18 +66,5 @@ func main() {
 	}
 	if *all || *ablate {
 		run("ablation", func() error { _, err := experiments.RunAblation(cfg, os.Stdout); return err })
-	}
-	if *all || *serving {
-		run("serving", func() error {
-			results, err := experiments.RunServing(cfg, os.Stdout)
-			if err != nil || *jsonOut == "" {
-				return err
-			}
-			l := *label
-			if l == "" {
-				l = time.Now().UTC().Format("2006-01-02T15:04")
-			}
-			return experiments.AppendServingJSON(*jsonOut, l, cfg, results)
-		})
 	}
 }

@@ -401,46 +401,36 @@ func replay6(fibPath, feed, emit, stream, server string, synth, lambda, verify i
 	fmt.Printf("fibreplay: v6 DAG %0.1f KB before, %0.1f KB after (λ=%d)\n",
 		float64(before)/1024, float64(d.ModelBytes())/1024, lambda)
 	if verify > 0 {
-		// Differential sweep: the mutated DAG, its serialized v1 and
-		// stride-compressed v2 blobs (scalar and batch-lane walks) must
-		// all agree with the control FIB on every probe. Barriers past
-		// the serializable bound skip the blob legs.
+		// Differential sweep: the mutated DAG and its serialized blob
+		// (scalar and batch-lane walks) must agree with the control FIB
+		// on every probe. Barriers past the serializable bound skip the
+		// blob legs.
 		rng := rand.New(rand.NewSource(seed + 1))
 		probes := ip6.RandomAddrs(rng, verify)
-		b1, err1 := d.Serialize()
-		b2, err2 := d.SerializeV2()
-		if (err1 == nil) != (err2 == nil) {
-			fatal(fmt.Errorf("serializers disagree on λ=%d: v1 %v, v2 %v", lambda, err1, err2))
-		}
-		var dst1, dst2 []uint32
-		if err1 == nil {
-			dst1 = b1.LookupBatch(probes)
-			dst2 = b2.LookupBatch(probes)
+		b, serr := d.Serialize()
+		var dst []uint32
+		if serr == nil {
+			dst = b.LookupBatch(probes)
 		}
 		for i, a := range probes {
 			want := d.Control().Lookup(a)
 			if d.Lookup(a) != want {
 				fatal(fmt.Errorf("divergence from control FIB at %s", a))
 			}
-			if err1 != nil {
+			if serr != nil {
 				continue
 			}
-			if got := b1.Lookup(a); got != want {
-				fatal(fmt.Errorf("v1 blob diverges from control FIB at %s: %d != %d", a, got, want))
+			if got := b.Lookup(a); got != want {
+				fatal(fmt.Errorf("blob diverges from control FIB at %s: %d != %d", a, got, want))
 			}
-			if got := b2.Lookup(a); got != want {
-				fatal(fmt.Errorf("v2 blob diverges from control FIB at %s: %d != %d", a, got, want))
-			}
-			if dst1[i] != want || dst2[i] != want {
-				fatal(fmt.Errorf("batch lanes diverge from control FIB at %s: v1 %d, v2 %d, want %d",
-					a, dst1[i], dst2[i], want))
+			if dst[i] != want {
+				fatal(fmt.Errorf("batch lanes diverge from control FIB at %s: %d, want %d", a, dst[i], want))
 			}
 		}
 		legs := "DAG"
-		if err1 == nil {
-			legs = "DAG, v1 and v2 blobs (scalar + lanes)"
-			fmt.Printf("fibreplay: blobs: v1 %.1f KB, v2 %.1f KB\n",
-				float64(b1.SizeBytes())/1024, float64(b2.SizeBytes())/1024)
+		if serr == nil {
+			legs = "DAG and blob (scalar + lanes)"
+			fmt.Printf("fibreplay: blob: %.1f KB\n", float64(b.SizeBytes())/1024)
 		}
 		fmt.Printf("fibreplay: verified %s against control FIB on %d probes\n", legs, verify)
 	}

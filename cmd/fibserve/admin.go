@@ -210,8 +210,7 @@ func (st *status) statusz() statuszPayload {
 // adminMux builds the admin HTTP handler: Prometheus exposition on
 // /metrics, a liveness probe on /healthz, the full JSON status
 // document (including the publish-pipeline trace ring) on /statusz,
-// and the pprof handlers under /debug/pprof/ — the surface the old
-// standalone -pprof listener used to carry.
+// and the pprof handlers under /debug/pprof/.
 func adminMux(st *status) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

@@ -13,12 +13,6 @@
 // loops share one socket. SIGINT/SIGTERM drain every loop's in-flight
 // burst before the sockets close.
 //
-// -blobv2 serves the stride-compressed snapshot format for both
-// families (pdag.BlobV2 for IPv4, ip6.BlobV2 for IPv6 when -fib6 is
-// given): four trie levels per memory touch below the barrier, the
-// right choice for long-prefix-heavy traffic; lookups are
-// bit-identical in both formats.
-//
 // -updates attaches the live route-update plane (internal/ribd): a
 // TCP listener accepting "announce prefix label" / "withdraw prefix"
 // feeds from concurrent peers, coalescing them per shard and
@@ -32,8 +26,7 @@
 // (Prometheus text exposition from the internal/obs registry every
 // layer registers on), /healthz, /statusz (JSON: serving topology,
 // per-worker counters, update-plane stats, peers, and the publish-
-// pipeline trace ring), and /debug/pprof (the old -pprof flag is a
-// deprecated alias serving the same mux). Instrumentation rides the
+// pipeline trace ring), and /debug/pprof. Instrumentation rides the
 // hot paths at zero allocation; scrapes never block a serve loop.
 //
 // -fib6 serves IPv6 alongside IPv4 from the same UDP socket: the v6
@@ -157,7 +150,6 @@ func main() {
 		reuse   = flag.Bool("reuseport", true, "shard serving across per-worker SO_REUSEPORT sockets where supported")
 		lambda  = flag.Int("lambda", 11, "leaf-push barrier")
 		shards  = flag.Int("shards", 1, "shard count (power of two; >1 serves the sharded concurrent engine)")
-		blobv2  = flag.Bool("blobv2", false, "serve the stride-compressed blob format for both families (4 trie levels per memory touch below the barrier)")
 		fib6    = flag.String("fib6", "", "IPv6 FIB file: serve dual-stack (AF-tagged v6 datagrams next to untagged v4)")
 		lambda6 = flag.Int("lambda6", 16, "IPv6 leaf-push barrier")
 		updates = flag.String("updates", "", "TCP address for the live route-update plane (ribd); implies the sharded engine")
@@ -170,7 +162,6 @@ func main() {
 		qvrf    = flag.Int("vrf", -1, "client mode: VRF tenant id for -query (default: the untagged default table)")
 		server  = flag.String("server", "127.0.0.1:7000", "client mode: server address")
 		admin   = flag.String("admin", "", "HTTP admin endpoint (e.g. 127.0.0.1:6060): /metrics, /healthz, /statusz, /debug/pprof")
-		pprof   = flag.String("pprof", "", "deprecated alias for -admin (the admin endpoint carries the pprof handlers)")
 	)
 	flag.Parse()
 
@@ -233,26 +224,17 @@ func main() {
 		fatal(err)
 	}
 
-	format := shardfib.FormatV1
-	if *blobv2 {
-		format = shardfib.FormatV2
-	}
 	// flatEngine folds a table into the single-shard serving form:
-	// the immutable line-card blob in the requested format when the
-	// barrier admits one, else the mutable DAG itself. served and
-	// size describe what is actually walked, so the banner cannot
-	// claim a blob the serializer declined (λ > 24 falls back to the
-	// DAG) and the v1/v2 byte sizes stay comparable across runs.
+	// the immutable line-card blob when the barrier admits one, else
+	// the mutable DAG itself. served and size describe what is
+	// actually walked, so the banner cannot claim a blob the
+	// serializer declined (λ > 24 falls back to the DAG).
 	flatEngine := func(t *fib.Table) (eng lookupd.Lookuper, size int, served string, err error) {
 		d, err := pdag.Build(t, *lambda)
 		if err != nil {
 			return nil, 0, "", err
 		}
-		if *blobv2 {
-			if blob, err := d.SerializeV2(); err == nil {
-				return blob, blob.SizeBytes(), "v2", nil
-			}
-		} else if blob, err := d.Serialize(); err == nil {
+		if blob, err := d.Serialize(); err == nil {
 			return blob, blob.SizeBytes(), "v1", nil
 		}
 		return d, d.ModelBytes(), "dag (unserialized)", nil
@@ -268,11 +250,11 @@ func main() {
 		// The live update plane needs the incrementally-updatable
 		// sharded engine; -updates therefore implies it even at one
 		// shard.
-		sharded, err = shardfib.BuildFormat(t, *lambda, *shards, format)
+		sharded, err = shardfib.Build(t, *lambda, *shards)
 		if err != nil {
 			fatal(err)
 		}
-		engine, size, served = sharded, sharded.SizeBytes(), format.String()
+		engine, size, served = sharded, sharded.SizeBytes(), "v1"
 		if !sharded.SnapshotsSerialized() {
 			// The engine fell back to folded-DAG snapshots (barrier
 			// beyond the serializable range); say so.
@@ -304,7 +286,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		sharded6, err = shardfib.Build6Format(tab6, *lambda6, *shards, format)
+		sharded6, err = shardfib.Build6(tab6, *lambda6, *shards)
 		if err != nil {
 			fatal(err)
 		}
@@ -429,10 +411,10 @@ func main() {
 		},
 	}
 	if sharded6 != nil {
-		// Report what the v6 engine actually serves, not the requested
-		// form: the barrier can force the folded-DAG fallback exactly
-		// as it does for v4, and the per-family blob sizes differ.
-		served6 := sharded6.Format().String()
+		// Report what the v6 engine actually serves: the barrier can
+		// force the folded-DAG fallback exactly as it does for v4, and
+		// the per-family blob sizes differ.
+		served6 := "v1"
 		if !sharded6.SnapshotsSerialized() {
 			served6 = "dag (unserialized)"
 		}
@@ -443,15 +425,8 @@ func main() {
 	if sharded6 != nil {
 		st.families = "dual-stack"
 	}
-	// -pprof folds into the admin endpoint: both flags serve the same
-	// mux, so old profiling invocations keep working.
 	if *admin != "" {
 		if err := startAdmin(*admin, st); err != nil {
-			fatal(err)
-		}
-	}
-	if *pprof != "" && *pprof != *admin {
-		if err := startAdmin(*pprof, st); err != nil {
 			fatal(err)
 		}
 	}

@@ -44,7 +44,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		blob2, err := d.SerializeV2()
+		strided, err := d.SerializeV2()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func main() {
 			dagBits/m.Entropy,
 			thm2/8/1024,
 			float64(blob.SizeBytes())/1024,
-			float64(blob2.SizeBytes())/1024)
+			float64(strided.SizeBytes())/1024)
 	}
 	fmt.Println("\nν stays a small constant except at extreme skew — no space-time")
 	fmt.Println("trade-off: lookups remain plain O(W) trie walks at every point.")

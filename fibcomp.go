@@ -93,9 +93,6 @@ type (
 	// nodes, cutting the dependent memory-touch chain of a deep walk
 	// from W−λ to ⌈(W−λ)/4⌉. Bit-identical to Blob on every lookup.
 	BlobV2 = pdag.BlobV2
-	// ShardFormat selects the serialized snapshot format a sharded
-	// serving engine publishes (ShardV1 or ShardV2).
-	ShardFormat = shardfib.Format
 	// XBW is the succinct XBW-b FIB representation (§3).
 	XBW = xbw.FIB
 	// LCTrie is the level-compressed multibit trie baseline
@@ -128,16 +125,6 @@ func ParseAddr(s string) (uint32, error) { return fib.ParseAddr(s) }
 // entropy-optimal setting of eq. (3).
 func Compress(t *Table, lambda int) (*PrefixDAG, error) { return pdag.Build(t, lambda) }
 
-// Serialized snapshot formats for the sharded serving engine.
-const (
-	// ShardV1 serves §5.3 blobs: one memory touch per trie level
-	// below the barrier.
-	ShardV1 = shardfib.FormatV1
-	// ShardV2 serves stride-compressed BlobV2 snapshots: one touch
-	// per four levels — the choice for long-prefix-heavy traffic.
-	ShardV2 = shardfib.FormatV2
-)
-
 // CompressSharded partitions the FIB by the top address bits into
 // `shards` (a power of two) prefix DAGs for concurrent serving:
 // lookups are lock-free and may be batched, while Set/Delete/Reload
@@ -145,13 +132,6 @@ const (
 // Lookups are bit-identical to the flat Compress DAG.
 func CompressSharded(t *Table, lambda, shards int) (*ShardedFIB, error) {
 	return shardfib.Build(t, lambda, shards)
-}
-
-// CompressShardedFormat is CompressSharded with an explicit snapshot
-// format: ShardV2 serves the stride-compressed blobs, which cut deep
-// lookup latency by ~4× per walk while staying bit-identical.
-func CompressShardedFormat(t *Table, lambda, shards int, format ShardFormat) (*ShardedFIB, error) {
-	return shardfib.BuildFormat(t, lambda, shards, format)
 }
 
 // CompressXBW builds the succinct XBW-b representation.

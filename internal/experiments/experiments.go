@@ -28,10 +28,6 @@ const CPUGHz = 2.5
 type Config struct {
 	Seed  int64
 	Scale float64
-	// WireWorkers caps the serving suite's wire sweep: worker counts
-	// 1, 2, 4, ... up to this value (0 means 4). Raising it past the
-	// host's CPU count measures oversubscription, not scaling.
-	WireWorkers int
 }
 
 // DefaultConfig runs at 1/8 paper scale, enough for every shape to be

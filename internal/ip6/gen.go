@@ -71,9 +71,8 @@ func SplitFIB(rng *rand.Rand, n int, dist []float64) (*Table, error) {
 // bits before the longest match resolves, and with n ≫ 2^λ the chains
 // are essentially unshared — the folded region far exceeds cache and
 // each step of the dependent walk is a genuine memory access. This is
-// the regime the stride-compressed format exists for; split-generated
-// tables (SplitFIB) bottom out near depth log2(n) and never exercise
-// it.
+// the regime a stride-compressed walk is for; split-generated tables
+// (SplitFIB) bottom out near depth log2(n) and never exercise it.
 func DeepFIB6(rng *rand.Rand, n, keys int) (*Table, []Addr, error) {
 	t := New()
 	base, _, err := ParsePrefix("2000::/3")

@@ -60,25 +60,21 @@ type DAG struct {
 
 	// Dirty-subtree tracking (see serial.go): mutGen counts control
 	// mutations, lastMut records per root-stride group the generation
-	// that last touched it, and geo1/geo2 hold each serialized
-	// format's stable group layout so a republish re-emits only the
-	// groups mutated since the target buffer was last written.
+	// that last touched it, and geo1 holds the blob's stable group
+	// layout so a republish re-emits only the groups mutated since the
+	// target buffer was last written.
 	mutGen  uint64
 	lastMut []uint64
 	geo1    serialGeom
-	geo2    serialGeom
 	geoSeq  uint64
 
 	// Per-serialize group scratch: the subtree hanging at each group's
-	// path with the default label in force there (groupPlan), the
-	// index/word allocation cursor and its region bound, and the v2
-	// stride expansions kept across republishes.
-	groupNode       []*dnode
-	groupDef        []uint32
-	serialBase      uint32
-	serialLimit     uint32
-	serialWatermark uint32
-	serialExps      []strideExp
+	// path with the default label in force there (groupPlan), and the
+	// index allocation cursor and its region bound.
+	groupNode   []*dnode
+	groupDef    []uint32
+	serialBase  uint32
+	serialLimit uint32
 
 	// Update-path recyclers, mirroring the IPv4 DAG: released DAG
 	// nodes chain through freeNode (linked via left) and feed later

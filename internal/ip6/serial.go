@@ -58,12 +58,12 @@ func (d *DAG) groupBits() int {
 	return groupBitsMax
 }
 
-// serialGeom is the stable group layout of one serialized format:
-// group g owns units [base[g], base[g]+capn[g]) of the folded region
-// (node indices for the v1 blob, words for v2), of which used[g] are
-// live. Bases never move while gen is unchanged — re-emitting a dirty
-// group cannot disturb a clean one — and every full layout grants
-// each group slack so steady churn re-emits in place. A group that
+// serialGeom is the stable group layout of the serialized blob: group
+// g owns node indices [base[g], base[g]+capn[g]) of the folded region,
+// of which used[g] are live. Bases never move while gen is unchanged —
+// re-emitting a dirty group cannot disturb a clean one — and every
+// full layout grants each group slack so steady churn re-emits in
+// place. A group that
 // outgrows its region forces a fresh layout under a new gen, which
 // invalidates (and fully rewrites) any buffer stamped with the old
 // one.
@@ -97,7 +97,7 @@ var errRegionFull = errors.New("ip6: dirty group outgrew its region")
 const serialNoLimit = ^uint32(0)
 
 // markDirty advances the mutation generation and records it on every
-// root-stride group the update covers; the serializers re-emit only
+// root-stride group the update covers; the serializer re-emits only
 // groups whose generation is newer than the target buffer's. An
 // update at depth ≥ the group depth lands in exactly one group, a
 // shorter prefix covers a power-of-two run (a is canonical, so the
@@ -121,9 +121,9 @@ func (d *DAG) markDirty(a Addr, plen int) {
 
 // groupPlan walks the plain region above the group depth once,
 // recording for every group the subtree hanging at its path and the
-// default label in force there — the per-group inputs both
-// serializers hand to fillRoot. Folded nodes hang exactly at depth λ,
-// so at group depth min(λ, 6) a group's subtree is a plain node, a
+// default label in force there — the per-group inputs the serializer
+// hands to fillRoot. Folded nodes hang exactly at depth λ, so at
+// group depth min(λ, 6) a group's subtree is a plain node, a
 // folded node (λ ≤ 6), or nil; never a folded node spanning groups.
 func (d *DAG) groupPlan() {
 	gb := d.groupBits()
@@ -294,7 +294,7 @@ func (d *DAG) emitGroupV1(b *Blob, g int, limit uint32, grow bool) error {
 	d.serialList = d.serialList[:0]
 	d.serialBase = base
 	d.serialLimit = limit
-	if err := d.fillRoot(b.Root, d.groupNode[g], uint32(g), d.groupBits(), d.groupDef[g], d.assign); err != nil {
+	if err := d.fillRoot(b.Root, d.groupNode[g], uint32(g), d.groupBits(), d.groupDef[g]); err != nil {
 		return err
 	}
 	used := uint32(len(d.serialList))
@@ -321,10 +321,8 @@ func (d *DAG) emitGroupV1(b *Blob, g int, limit uint32, grow bool) error {
 // node n at depth, i.e. slots [v<<(λ-depth), (v+1)<<(λ-depth)). def is
 // the last label seen on the path, the inherited default packed into
 // bits 24..31 of each entry. Folded subtrees cover their whole slot
-// range with one payload: the index assign gives their interior or
-// stride node — both serialized formats share this pass and differ
-// only in what assign emits.
-func (d *DAG) fillRoot(root []uint32, n *dnode, v uint32, depth int, def uint32, assign func(*dnode) (uint32, error)) error {
+// range with one payload: the index assign gives their interior node.
+func (d *DAG) fillRoot(root []uint32, n *dnode, v uint32, depth int, def uint32) error {
 	lo := int(v) << uint(d.Lambda-depth)
 	hi := lo + 1<<uint(d.Lambda-depth)
 	if n == nil {
@@ -336,7 +334,7 @@ func (d *DAG) fillRoot(root []uint32, n *dnode, v uint32, depth int, def uint32,
 		fillWords(root[lo:hi], def<<24|blobLeafFlag|(n.label&0xFF))
 		return nil
 	case kindInt:
-		idx, err := assign(n)
+		idx, err := d.assign(n)
 		if err != nil {
 			return err
 		}
@@ -352,10 +350,10 @@ func (d *DAG) fillRoot(root []uint32, n *dnode, v uint32, depth int, def uint32,
 		root[lo] = def<<24 | blobNone
 		return nil
 	}
-	if err := d.fillRoot(root, n.left, 2*v, depth+1, def, assign); err != nil {
+	if err := d.fillRoot(root, n.left, 2*v, depth+1, def); err != nil {
 		return err
 	}
-	return d.fillRoot(root, n.right, 2*v+1, depth+1, def, assign)
+	return d.fillRoot(root, n.right, 2*v+1, depth+1, def)
 }
 
 // assign gives a folded subtree dense preorder indices, stamping each

@@ -96,6 +96,77 @@ func TestBlobAfterUpdates(t *testing.T) {
 	}
 }
 
+// TestIncrementalMatchesFull is the dirty-subtree equivalence core:
+// double-buffered republish through the dirty path must stay
+// bit-identical (lookup-for-lookup) to the control FIB and to a fresh
+// full serialize of an independent DAG fed the same state. The
+// alternating buffers exercise the generation-relative
+// dirtiness (a spare is two publishes old) and the shared-geometry
+// full pass that lets the second buffer join the incremental path.
+func TestIncrementalMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(92))
+	tab, err := SplitFIB(rng, 1500, []float64{0.6, 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lambda := range []int{0, 3, 8, 16} {
+		d, err := Build(tab, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bufs [2]*Blob
+		probes := probesFor(tab, rng, 1024)
+		for round := 0; round < 30; round++ {
+			// A mix of deep updates (one group) and short-prefix
+			// updates (covering a group run, including plen < gBits).
+			for i := 0; i < 12; i++ {
+				plen := 16 + rng.Intn(49)
+				if i%5 == 4 {
+					plen = 1 + rng.Intn(8)
+				}
+				a := Canonical(Addr{Hi: 0x2000000000000000 | rng.Uint64()>>3, Lo: rng.Uint64()}, plen)
+				if rng.Intn(3) == 0 {
+					d.Delete(a, plen)
+				} else if err := d.Set(a, plen, uint32(1+rng.Intn(200))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b, err := d.SerializeInto(bufs[round&1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			bufs[round&1] = b
+			if round%10 != 9 {
+				for _, a := range probes {
+					want := d.Control().Lookup(a)
+					if got := b.Lookup(a); got != want {
+						t.Fatalf("λ=%d round %d %s: %d != control %d", lambda, round, a, got, want)
+					}
+				}
+				continue
+			}
+			// Every tenth round: full cross-check against an
+			// independent DAG (fresh geometry, fresh layout) and the
+			// lanes walker.
+			fresh, err := FromTrie(d.Control(), lambda)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := fresh.Serialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]uint32, len(probes))
+			b.LookupBatchInto(dst, probes)
+			for i, a := range probes {
+				if want := full.Lookup(a); dst[i] != want {
+					t.Fatalf("λ=%d round %d incremental lanes %s: %d != full %d", lambda, round, a, dst[i], want)
+				}
+			}
+		}
+	}
+}
+
 // TestSerializeIntoZeroAllocs is the write-side contract the sharded
 // engine's double-buffered publish relies on: once the buffers and
 // the serializer's scratch reach their high-water marks, steady-churn
@@ -166,7 +237,9 @@ func TestSerializeIntoZeroAllocs(t *testing.T) {
 // FuzzLookup6 drives the IPv6 DAG with an arbitrary byte-encoded
 // update sequence at an arbitrary barrier, serializes it, and pins
 // the blob's scalar walk and interleaved batch lanes bit-identical to
-// the trie reference — the ip6 twin of the v1/v2 pdag fuzzers.
+// the trie reference — the ip6 twin of the pdag fuzzers; a second
+// label-flip phase then republishes into the same buffer through the
+// dirty path and rechecks.
 func FuzzLookup6(f *testing.F) {
 	f.Add([]byte{1, 48, 0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(16))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}, uint8(0))
@@ -178,6 +251,12 @@ func FuzzLookup6(f *testing.F) {
 			t.Fatal(err)
 		}
 		oracle := NewTrie()
+		type rec struct {
+			addr  Addr
+			plen  int
+			label uint32
+		}
+		var sets []rec
 		var probes []Addr
 		// Each op consumes 18 bytes: verb, plen, 16 address bytes. The
 		// label derives from the verb byte.
@@ -201,6 +280,7 @@ func FuzzLookup6(f *testing.F) {
 					t.Fatal(err)
 				}
 				oracle.Insert(a, plen, label)
+				sets = append(sets, rec{a, plen, label})
 			}
 			m := Mask(plen)
 			probes = append(probes, a, Addr{Hi: a.Hi | ^m.Hi, Lo: a.Lo | ^m.Lo})
@@ -217,15 +297,29 @@ func FuzzLookup6(f *testing.F) {
 			})
 		}
 		dst := make([]uint32, len(probes))
-		b.LookupBatchInto(dst, probes)
-		for i, a := range probes {
-			want := oracle.Lookup(a)
-			if got := b.Lookup(a); got != want {
-				t.Fatalf("λ=%d scalar divergence at %s: %d != %d", lambda, a, got, want)
-			}
-			if dst[i] != want {
-				t.Fatalf("λ=%d lanes divergence at %s: %d != %d", lambda, a, dst[i], want)
+		check := func(phase string) {
+			b.LookupBatchInto(dst, probes)
+			for i, a := range probes {
+				want := oracle.Lookup(a)
+				if got := b.Lookup(a); got != want {
+					t.Fatalf("λ=%d %s scalar divergence at %s: %d != %d", lambda, phase, a, got, want)
+				}
+				if dst[i] != want {
+					t.Fatalf("λ=%d %s lanes divergence at %s: %d != %d", lambda, phase, a, dst[i], want)
+				}
 			}
 		}
+		check("fresh")
+		for _, r := range sets {
+			label := r.label%4 + 1
+			if err := d.Set(r.addr, r.plen, label); err != nil {
+				t.Fatal(err)
+			}
+			oracle.Insert(r.addr, r.plen, label)
+		}
+		if b, err = d.SerializeInto(b); err != nil {
+			t.Fatal(err)
+		}
+		check("dirty-republish")
 	})
 }

@@ -271,53 +271,6 @@ func TestDispatchZeroAllocsBothFamilies(t *testing.T) {
 	}
 }
 
-// TestDispatchZeroAllocsV6FromV2 pins the dispatch contract when the
-// v6 engine serves the stride-compressed format: AF-tagged v6 batches
-// resolved from a v2 merged view allocate nothing per datagram and
-// answer bit-identically to the trie oracle — the interface dispatch
-// must not notice the snapshot format changed underneath it.
-func TestDispatchZeroAllocsV6FromV2(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	t6, err := ip6.SplitFIB(rng, 1500, []float64{0.6, 0.25, 0.15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f6, err := shardfib.Build6Format(t6, 16, 16, shardfib.FormatV2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := ip6.FromTable(t6)
-	s := &Server{}
-	s.fib6.Store(&engineBox6{f6})
-	w := new(wire)
-	st := new(workerStats)
-
-	addrs := ip6.RandomAddrs(rng, MaxBatch)
-	w.req[0] = AFInet6
-	for i, a := range addrs {
-		binary.BigEndian.PutUint64(w.req[1+16*i:], a.Hi)
-		binary.BigEndian.PutUint64(w.req[1+16*i+8:], a.Lo)
-	}
-	n6 := 1 + 16*MaxBatch
-	if got, _ := s.dispatchOne(w, n6, st); got != 1+4*MaxBatch {
-		t.Fatalf("v6 dispatch reply %d, want %d", got, 1+4*MaxBatch)
-	}
-	for i, a := range addrs {
-		want := oracle.Lookup(a)
-		if got := binary.BigEndian.Uint32(w.resp[1+4*i:]); got != want {
-			t.Fatalf("v2-served addr %s: reply %d, want %d", a, got, want)
-		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if got, _ := s.dispatchOne(w, n6, st); got != 1+4*MaxBatch {
-			t.Fatalf("v6 dispatch reply %d, want %d", got, 1+4*MaxBatch)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("v6-from-v2 dispatch allocated %.2f times per datagram, want 0", allocs)
-	}
-}
-
 // TestHandle6MatchesLookup cross-checks the v6 wire encode/decode
 // against direct engine lookups for the batch-into and scalar
 // dispatch flavors.

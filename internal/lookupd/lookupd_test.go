@@ -362,33 +362,6 @@ func TestHandleZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("blob handle allocated %.2f times per datagram, want 0", allocs)
 	}
-	// The stride-compressed formats — fibserve's -blobv2 engines, flat
-	// and sharded — dispatch through the same LookupBatchInto fast path
-	// and must hold the same contract.
-	blob2, err := d.SerializeV2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := shardfib.BuildFormat(tb, 11, 16, shardfib.FormatV2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range []Lookuper{blob2, f2} {
-		handleAt(eng, w.req[:], w.resp[:], &w.scratch, 0, n)
-		allocs = testing.AllocsPerRun(200, func() {
-			handleAt(eng, w.req[:], w.resp[:], &w.scratch, 0, n)
-		})
-		if allocs != 0 {
-			t.Fatalf("%T handle allocated %.2f times per datagram, want 0", eng, allocs)
-		}
-		// And answer identically to the v1 blob on every address.
-		for i := 0; i < MaxBatch; i++ {
-			a := binary.BigEndian.Uint32(w.req[4*i:])
-			if got, want := eng.Lookup(a), blob.Lookup(a); got != want {
-				t.Fatalf("%T addr %08x: got %d, v1 blob %d", eng, a, got, want)
-			}
-		}
-	}
 }
 
 // TestHandleMatchesLookup cross-checks the wire encode/decode against

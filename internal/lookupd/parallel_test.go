@@ -13,7 +13,7 @@ import (
 )
 
 // parallelEngines builds two interchangeable engine pairs — the same
-// tables compiled to FormatV1 and FormatV2 — plus both family
+// tables compiled to 16 and to 4 shards — plus both family
 // oracles. Swapping between the pairs changes the serving machinery
 // but never an answer, which is what lets the equivalence test assert
 // bit-identical replies while Swap/Swap6 run full tilt.
@@ -31,7 +31,7 @@ func parallelEngines(t *testing.T) (f4a, f4b *shardfib.FIB, f6a, f6b *shardfib.F
 	if f4a, err = shardfib.Build(tb, 11, 16); err != nil {
 		t.Fatal(err)
 	}
-	if f4b, err = shardfib.BuildFormat(tb, 11, 16, shardfib.FormatV2); err != nil {
+	if f4b, err = shardfib.Build(tb, 11, 4); err != nil {
 		t.Fatal(err)
 	}
 	t6, err := ip6.SplitFIB(rng, 1500, []float64{0.6, 0.25, 0.15})
@@ -41,7 +41,7 @@ func parallelEngines(t *testing.T) (f4a, f4b *shardfib.FIB, f6a, f6b *shardfib.F
 	if f6a, err = shardfib.Build6(t6, 16, 16); err != nil {
 		t.Fatal(err)
 	}
-	if f6b, err = shardfib.Build6Format(t6, 16, 16, shardfib.FormatV2); err != nil {
+	if f6b, err = shardfib.Build6(t6, 16, 4); err != nil {
 		t.Fatal(err)
 	}
 	return f4a, f4b, f6a, f6b, trie.FromTable(tb), ip6.FromTable(t6)

@@ -35,7 +35,6 @@ type TraceEvent struct {
 	Kind    TraceKind `json:"-"`
 	KindS   string    `json:"kind"`    // filled at snapshot time
 	Family  uint8     `json:"family"`  // 4 or 6
-	Format  uint8     `json:"format"`  // shardfib.Format ordinal (0 = v1, 1 = v2)
 	Shards  int32     `json:"shards"`  // shards the batch touched
 	Dirty   int32     `json:"dirty"`   // shards actually republished (the dirty subset after no-op squashing)
 	Ops     int32     `json:"ops"`     // ops in the batch

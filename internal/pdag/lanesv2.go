@@ -19,33 +19,30 @@ import (
 // laneStateV2 holds the parked deep walks of the v2 walker: per lane
 // the word offset of the stride node to enter next, the remaining
 // address bits (pre-shifted so bits 31..28 are the next chunk), the
-// best label so far, the batch position the result lands in, and the
-// owning blob's stride words (lanes may walk different shards'
-// blobs).
+// best label so far, and the batch position the result lands in.
 type laneStateV2 struct {
-	off   [BatchLanes]uint32
-	cur   [BatchLanes]uint32
-	best  [BatchLanes]uint32
-	pos   [BatchLanes]int
-	words [BatchLanes][]uint32
-	n     int
+	off  [BatchLanes]uint32
+	cur  [BatchLanes]uint32
+	best [BatchLanes]uint32
+	pos  [BatchLanes]int
+	n    int
 }
 
 // park adds a walk still unresolved at stride boundary q0.
-func (ls *laneStateV2) park(off, cur, best uint32, pos int, words []uint32) {
+func (ls *laneStateV2) park(off, cur, best uint32, pos int) {
 	l := ls.n
-	ls.off[l], ls.cur[l], ls.best[l], ls.pos[l], ls.words[l] = off, cur, best, pos, words
+	ls.off[l], ls.cur[l], ls.best[l], ls.pos[l] = off, cur, best, pos
 	ls.n = l + 1
 }
 
-// run advances every parked walk one stride per iteration from level
-// q0 until all have resolved, then scatters the labels into dst and
-// empties the lanes. All parked walks are at the same level, so one
+// run advances every parked walk one stride per iteration through ws
+// from level q0 until all have resolved, then scatters the labels into
+// dst and empties the lanes. All parked walks are at the same level, so one
 // lockstep counter serves every lane; the stride-node loads of live
 // lanes within an iteration are mutually independent — and each
 // iteration now covers four levels, so a full-depth walk at λ=11
 // takes 6 iterations where the v1 lanes take 21.
-func (ls *laneStateV2) run(dst []uint32, q0, width int) {
+func (ls *laneStateV2) run(dst, ws []uint32, q0, width int) {
 	if ls.n == 0 {
 		return
 	}
@@ -53,7 +50,6 @@ func (ls *laneStateV2) run(dst []uint32, q0, width int) {
 	for q := q0; q < width && live != 0; q += 4 {
 		for m := live; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m)
-			ws := ls.words[l]
 			w0 := ws[ls.off[l]]
 			intBM, extBM := uint16(w0), uint16(w0>>16)
 			c := ls.cur[l] >> 28
@@ -90,11 +86,16 @@ func (ls *laneStateV2) run(dst []uint32, q0, width int) {
 
 // LookupBatchInto resolves addrs[i] into dst[i] for every address in
 // the batch, bit-identically to calling Lookup per address. dst must
-// be at least len(addrs) long. As in v1, the single-blob walk is the
-// merged walk with a one-entry words table and no shard bits.
+// be at least len(addrs) long.
 func (b *BlobV2) LookupBatchInto(dst, addrs []uint32) {
-	words := [1][]uint32{b.Words}
-	LookupBatchMergedV2(dst, addrs, b.Root, words[:], 0, b.Lambda, b.Width)
+	dst = dst[:len(addrs)]
+	for i := 0; i < len(addrs); i += batchChunk {
+		j := i + batchChunk
+		if j > len(addrs) {
+			j = len(addrs)
+		}
+		b.lookupChunk(dst[i:j], addrs[i:j])
+	}
 }
 
 // LookupBatch is LookupBatchInto allocating the result slice.
@@ -104,27 +105,10 @@ func (b *BlobV2) LookupBatch(addrs []uint32) []uint32 {
 	return dst
 }
 
-// LookupBatchMergedV2 is the sharded serving engine's hot loop over
-// v2 snapshots: root is the same merged root array the v1 walker
-// reads (the two formats share the root-entry encoding), and words
-// holds each shard's stride records. All shards must share lambda and
-// width. Results are bit-identical to looking each address up in its
-// own shard's v2 blob.
-func LookupBatchMergedV2(dst, addrs []uint32, root []uint32, words [][]uint32, shardBits, lambda, width int) {
-	dst = dst[:len(addrs)]
-	for i := 0; i < len(addrs); i += batchChunk {
-		j := i + batchChunk
-		if j > len(addrs) {
-			j = len(addrs)
-		}
-		lookupChunkMergedV2(dst[i:j], addrs[i:j], root, words, shardBits, lambda, width)
-	}
-}
-
-func lookupChunkMergedV2(dst, addrs []uint32, root []uint32, words [][]uint32, shardBits, lambda, width int) {
+func (b *BlobV2) lookupChunk(dst, addrs []uint32) {
 	var ebuf [batchChunk]uint32
+	root, ws, lambda := b.Root, b.Words, b.Lambda
 	shift := uint(fib.W - lambda)
-	kshift := uint(fib.W - shardBits)
 	lam := uint(lambda)
 	for i, a := range addrs {
 		ebuf[i] = root[a>>shift]
@@ -142,7 +126,6 @@ func lookupChunkMergedV2(dst, addrs []uint32, root []uint32, words [][]uint32, s
 			dst[i] = depth0Label(e, p)
 			continue
 		}
-		ws := words[a>>kshift]
 		best := e >> 24
 		off, cur := p, a<<lam
 		w0 := ws[off]
@@ -176,10 +159,10 @@ func lookupChunkMergedV2(dst, addrs []uint32, root []uint32, words [][]uint32, s
 			dst[i] = best
 			continue
 		}
-		ls.park(cw, cur<<4, best, i, ws)
+		ls.park(cw, cur<<4, best, i)
 		if ls.n == BatchLanes {
-			ls.run(dst, deepQ, width)
+			ls.run(dst, ws, deepQ, b.Width)
 		}
 	}
-	ls.run(dst, deepQ, width)
+	ls.run(dst, ws, deepQ, b.Width)
 }

@@ -194,12 +194,12 @@ func TestStreamedMultiPeerEquivalence6(t *testing.T) {
 
 // TestStreamedDirtyRepublishEquivalence6 is the dirty-subtree
 // property under live churn: multi-peer v6 feeds streamed through the
-// dual plane into a v2-format engine whose every republish takes the
+// dual plane into an engine whose every republish takes the
 // incremental dirty-group path (after the first full layout), while
 // concurrent batched readers hammer the merged view under -race. The
 // served snapshots must end bit-identical (lookup for lookup) to a
-// FULL re-serialize of an independent DAG holding the same routes —
-// in both formats — and to the offline control replay; any group the
+// FULL re-serialize of an independent DAG holding the same routes and
+// to the offline control replay; any group the
 // dirty tracking failed to re-emit, or re-emitted with a stale base,
 // would surface as a divergence.
 func TestStreamedDirtyRepublishEquivalence6(t *testing.T) {
@@ -252,17 +252,13 @@ func TestStreamedDirtyRepublishEquivalence6(t *testing.T) {
 	}
 
 	const lambda = 16
-	// The full-serialize references: a DAG that never saw the churn,
-	// frozen once in each format from the control replay.
+	// The full-serialize reference: a DAG that never saw the churn,
+	// frozen once from the control replay.
 	flatCtl, err := ip6.Build(control, lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullV1, err := flatCtl.Serialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullV2, err := flatCtl.SerializeV2()
+	full, err := flatCtl.Serialize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +268,7 @@ func TestStreamedDirtyRepublishEquivalence6(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := shardfib.Build6Format(tab, lambda, shards, shardfib.FormatV2)
+			eng, err := shardfib.Build6(tab, lambda, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,21 +335,18 @@ func TestStreamedDirtyRepublishEquivalence6(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !eng.SnapshotsSerialized() {
-				t.Fatal("v2 engine fell back to folded-DAG snapshots")
+				t.Fatal("engine fell back to folded-DAG snapshots")
 			}
 
-			// Dirty-republished snapshots vs full re-serialize (both
-			// formats) and control replay, scalar and batch.
+			// Dirty-republished snapshots vs full re-serialize and
+			// control replay, scalar and batch.
 			dst := make([]uint32, 256)
 			for lo := 0; lo+256 <= len(probes); lo += 256 {
 				eng.LookupBatchInto(dst, probes[lo:lo+256])
 				for j, a := range probes[lo : lo+256] {
 					want := flatCtl.Control().Lookup(a)
-					if got := fullV1.Lookup(a); got != want {
-						t.Fatalf("full v1 diverges from control at %s: %d != %d", a, got, want)
-					}
-					if got := fullV2.Lookup(a); got != want {
-						t.Fatalf("full v2 diverges from control at %s: %d != %d", a, got, want)
+					if got := full.Lookup(a); got != want {
+						t.Fatalf("full serialize diverges from control at %s: %d != %d", a, got, want)
 					}
 					if dst[j] != want {
 						t.Fatalf("dirty-republished engine diverges at %s: %d != %d", a, dst[j], want)

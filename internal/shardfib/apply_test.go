@@ -27,24 +27,22 @@ func opsFromUpdates(us []gen.Update) []Op {
 // forwarding-equivalent to the per-update Set/Delete path: the same
 // update stream pushed through both engines — in batches of varying
 // size on one side, one at a time on the other — yields bit-identical
-// lookups, across barriers, shard counts and both snapshot formats.
+// lookups, across barriers and shard counts.
 func TestApplyBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	tab := testTable(t, 3000, 21)
 	for _, cfg := range []struct {
 		lambda, shards int
-		format         Format
 	}{
-		{8, 4, FormatV1},
-		{11, 16, FormatV1},
-		{11, 16, FormatV2},
-		{2, 4, FormatV1}, // short barrier: exercises replicated short prefixes
+		{8, 4},
+		{11, 16},
+		{2, 4}, // short barrier: exercises replicated short prefixes
 	} {
-		batched, err := BuildFormat(tab, cfg.lambda, cfg.shards, cfg.format)
+		batched, err := Build(tab, cfg.lambda, cfg.shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := BuildFormat(tab, cfg.lambda, cfg.shards, cfg.format)
+		serial, err := Build(tab, cfg.lambda, cfg.shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,8 +78,8 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 		for i := 0; i < 20000; i++ {
 			a := rng.Uint32()
 			if got, want := batched.Lookup(a), serial.Lookup(a); got != want {
-				t.Fatalf("λ=%d shards=%d %v: ApplyBatch diverges at %08x: %d != %d",
-					cfg.lambda, cfg.shards, cfg.format, a, got, want)
+				t.Fatalf("λ=%d shards=%d: ApplyBatch diverges at %08x: %d != %d",
+					cfg.lambda, cfg.shards, a, got, want)
 			}
 		}
 		// The batch read path must agree too.
@@ -89,8 +87,8 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 		got, want := batched.LookupBatch(addrs), serial.LookupBatch(addrs)
 		for i := range addrs {
 			if got[i] != want[i] {
-				t.Fatalf("λ=%d shards=%d %v: batch lookup diverges at %08x",
-					cfg.lambda, cfg.shards, cfg.format, addrs[i])
+				t.Fatalf("λ=%d shards=%d: batch lookup diverges at %08x",
+					cfg.lambda, cfg.shards, addrs[i])
 			}
 		}
 	}
@@ -172,72 +170,70 @@ func TestApplyBatchRejectsInvalid(t *testing.T) {
 // pipeline, not a telemetry-stripped one.
 func TestApplyBatchZeroAllocs(t *testing.T) {
 	tab := testTable(t, 4000, 22)
-	for _, format := range []Format{FormatV1, FormatV2} {
-		f, err := BuildFormat(tab, 11, 16, format)
-		if err != nil {
+	f, err := Build(tab, 11, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := &Instruments{PublishSeconds: obs.NewHistogram(1e-9), Trace: obs.NewTraceRing(64)}
+	f.SetInstruments(ins)
+	us := gen.RandomUpdates(rand.New(rand.NewSource(23)), tab, 512)
+	// Two variants of the batch with different labels per prefix
+	// (withdraws become announces in the twin), alternated so
+	// every op is a genuine mutation — a recycled identical batch
+	// would be squashed by the no-op detector and publish nothing.
+	opsA := opsFromUpdates(us)
+	opsB := make([]Op, len(opsA))
+	for i, op := range opsA {
+		op.Label = op.Label%254 + 1
+		opsB[i] = op
+	}
+	// Warm every shard's double buffer, the serializer high-water
+	// marks and the grouping scratch.
+	for i := 0; i < 4; i++ {
+		if _, err := f.ApplyBatch(opsA); err != nil {
 			t.Fatal(err)
 		}
-		ins := &Instruments{PublishSeconds: obs.NewHistogram(1e-9), Trace: obs.NewTraceRing(64)}
-		f.SetInstruments(ins)
-		us := gen.RandomUpdates(rand.New(rand.NewSource(23)), tab, 512)
-		// Two variants of the batch with different labels per prefix
-		// (withdraws become announces in the twin), alternated so
-		// every op is a genuine mutation — a recycled identical batch
-		// would be squashed by the no-op detector and publish nothing.
-		opsA := opsFromUpdates(us)
-		opsB := make([]Op, len(opsA))
-		for i, op := range opsA {
-			op.Label = op.Label%254 + 1
-			opsB[i] = op
+		if _, err := f.ApplyBatch(opsB); err != nil {
+			t.Fatal(err)
 		}
-		// Warm every shard's double buffer, the serializer high-water
-		// marks and the grouping scratch.
-		for i := 0; i < 4; i++ {
-			if _, err := f.ApplyBatch(opsA); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.ApplyBatch(opsB); err != nil {
-				t.Fatal(err)
-			}
+	}
+	i := 0
+	_, _, before := f.Arena()
+	allocs := testing.AllocsPerRun(50, func() {
+		ops := opsA
+		if i&1 == 1 {
+			ops = opsB
 		}
-		i := 0
-		_, _, before := f.Arena()
-		allocs := testing.AllocsPerRun(50, func() {
-			ops := opsA
-			if i&1 == 1 {
-				ops = opsB
-			}
-			i++
-			if m, err := f.ApplyBatch(ops); err != nil || m == 0 {
-				t.Fatalf("mutated %d, err %v", m, err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("%v: steady batched republish allocated %.2f times per batch, want 0", format, allocs)
+		i++
+		if m, err := f.ApplyBatch(ops); err != nil || m == 0 {
+			t.Fatalf("mutated %d, err %v", m, err)
 		}
-		// The v1 contract includes the batches that start a new arena
-		// generation: the measured window must have crossed some, each
-		// into the array recycled from the generation before last.
-		if _, _, after := f.Arena(); format == FormatV1 && after < before+3 {
-			t.Fatalf("v1: %d compactions in the measured window, want ≥ 3", after-before)
-		}
-		// The instrumentation recorded the batches it rode along with:
-		// one histogram sample and one trace event per ApplyBatch, each
-		// event carrying the batch's shape.
-		if ins.PublishSeconds.Count() == 0 {
-			t.Fatalf("%v: publish histogram recorded nothing", format)
-		}
-		evs := ins.Trace.Snapshot()
-		if len(evs) == 0 {
-			t.Fatalf("%v: trace ring recorded nothing", format)
-		}
-		ev := evs[0]
-		if ev.KindS != "apply_batch" || ev.Family != 4 || ev.Format != uint8(format) {
-			t.Fatalf("%v: trace event misdescribes the batch: %+v", format, ev)
-		}
-		if ev.Ops != 512 || ev.Mutated == 0 || ev.Dirty == 0 || ev.Dirty > ev.Shards || ev.Bytes == 0 {
-			t.Fatalf("%v: trace event shape wrong: %+v", format, ev)
-		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady batched republish allocated %.2f times per batch, want 0", allocs)
+	}
+	// The contract includes the batches that start a new arena
+	// generation: the measured window must have crossed some, each
+	// into the array recycled from the generation before last.
+	if _, _, after := f.Arena(); after < before+3 {
+		t.Fatalf("%d compactions in the measured window, want ≥ 3", after-before)
+	}
+	// The instrumentation recorded the batches it rode along with:
+	// one histogram sample and one trace event per ApplyBatch, each
+	// event carrying the batch's shape.
+	if ins.PublishSeconds.Count() == 0 {
+		t.Fatal("publish histogram recorded nothing")
+	}
+	evs := ins.Trace.Snapshot()
+	if len(evs) == 0 {
+		t.Fatal("trace ring recorded nothing")
+	}
+	ev := evs[0]
+	if ev.KindS != "apply_batch" || ev.Family != 4 {
+		t.Fatalf("trace event misdescribes the batch: %+v", ev)
+	}
+	if ev.Ops != 512 || ev.Mutated == 0 || ev.Dirty == 0 || ev.Dirty > ev.Shards || ev.Bytes == 0 {
+		t.Fatalf("trace event shape wrong: %+v", ev)
 	}
 }
 

@@ -32,7 +32,6 @@ type FIB6 struct {
 	shardBits int  // k
 	shift     uint // 64 - k; addr.Hi >> shift selects the shard
 	lambda    int
-	format    Format
 	shards    []shard6
 
 	// space is non-nil for a FIB6 built with Build6Shared: the shards'
@@ -74,15 +73,12 @@ type shard6 struct {
 }
 
 // snapshot6 is the frozen serving form of one IPv6 shard: the
-// serialized blob in the requested format when the barrier admits one
-// (λ ≤ 24), else a fresh fold of the shard's control trie. Exactly
-// one of blob, blob2 and dag is non-nil; either blob's root array
-// feeds the merged view (the two formats share the root-entry
-// encoding). readers follows the same pin/validate protocol as the
-// IPv4 snapshot.
+// serialized blob when the barrier admits one (λ ≤ 24), else a fresh
+// fold of the shard's control trie. Exactly one of blob and dag is
+// non-nil; the blob's root array feeds the merged view. readers
+// follows the same pin/validate protocol as the IPv4 snapshot.
 type snapshot6 struct {
 	blob    *ip6.Blob
-	blob2   *ip6.BlobV2
 	dag     *ip6.DAG
 	readers atomic.Int64
 }
@@ -91,20 +87,7 @@ func (s *snapshot6) lookup(addr ip6.Addr) uint32 {
 	if s.blob != nil {
 		return s.blob.Lookup(addr)
 	}
-	if s.blob2 != nil {
-		return s.blob2.Lookup(addr)
-	}
 	return s.dag.Lookup(addr)
-}
-
-func (s *snapshot6) rootArray() []uint32 {
-	if s.blob != nil {
-		return s.blob.Root
-	}
-	if s.blob2 != nil {
-		return s.blob2.Root
-	}
-	return nil
 }
 
 func (sh *shard6) pin() *snapshot6 {
@@ -125,29 +108,22 @@ func (s *snapshot6) unpin() { s.readers.Add(-1) }
 // snapshot, retiring the previous one — the IPv6 instantiation of
 // shard.publish, with the serialized blob as the fast path and a
 // refold of the control trie as the unserializable-barrier fallback.
-func (sh *shard6) publish(lambda int, format Format) {
+func (sh *shard6) publish(lambda int) {
 	next := sh.spare
 	var buf *ip6.Blob
-	var buf2 *ip6.BlobV2
 	if next != nil && next.readers.Load() == 0 {
-		buf, buf2 = next.blob, next.blob2
+		buf = next.blob
 		next.dag = nil
 	} else {
 		next = &snapshot6{}
 	}
-	if format == FormatV2 {
-		if blob2, err := sh.dag.SerializeV2Into(buf2); err == nil {
-			next.blob, next.blob2 = nil, blob2
-			sh.spare = sh.cur.Swap(next)
-			return
-		}
-	} else if blob, err := sh.dag.SerializeInto(buf); err == nil {
-		next.blob, next.blob2 = blob, nil
+	if blob, err := sh.dag.SerializeInto(buf); err == nil {
+		next.blob = blob
 		sh.spare = sh.cur.Swap(next)
 		return
 	}
 	if d, err := ip6.FromTrie(sh.dag.Control(), lambda); err == nil {
-		next.blob, next.blob2, next.dag = nil, nil, d
+		next.blob, next.dag = nil, d
 		sh.spare = sh.cur.Swap(next)
 	}
 }
@@ -162,7 +138,6 @@ type combined6 struct {
 
 	// Walk geometry for pinned View6 readers, frozen per rebuild.
 	lambda    int
-	format    Format
 	shardBits int
 	shift     uint
 
@@ -172,27 +147,15 @@ type combined6 struct {
 func (c *combined6) unpin() { c.readers.Add(-1) }
 
 // Build6 partitions an IPv6 table into `shards` prefix DAGs (a power
-// of two in [1, MaxShards]) folded with leaf-push barrier lambda,
-// serving the default v1 snapshot format.
+// of two in [1, MaxShards]) folded with leaf-push barrier lambda; an
+// unserializable barrier falls back to folded-DAG snapshots.
 func Build6(t *ip6.Table, lambda, shards int) (*FIB6, error) {
-	return Build6Format(t, lambda, shards, FormatV1)
-}
-
-// Build6Format is Build6 with an explicit snapshot format, the IPv6
-// twin of BuildFormat. The format applies to every shard snapshot the
-// engine ever publishes; an unserializable barrier falls back to
-// folded-DAG snapshots regardless of format.
-func Build6Format(t *ip6.Table, lambda, shards int, format Format) (*FIB6, error) {
 	if shards < 1 || shards > MaxShards || shards&(shards-1) != 0 {
 		return nil, fmt.Errorf("shardfib: shard count %d not a power of two in [1,%d]", shards, MaxShards)
-	}
-	if format != FormatV1 && format != FormatV2 {
-		return nil, fmt.Errorf("shardfib: unknown snapshot format %d", format)
 	}
 	f := &FIB6{
 		shardBits: bits.TrailingZeros(uint(shards)),
 		lambda:    lambda,
-		format:    format,
 		shards:    make([]shard6, shards),
 	}
 	f.shift = uint(64 - f.shardBits)
@@ -202,7 +165,7 @@ func Build6Format(t *ip6.Table, lambda, shards int, format Format) (*FIB6, error
 			return nil, err
 		}
 		f.shards[i].dag = d
-		f.shards[i].publish(lambda, format)
+		f.shards[i].publish(lambda)
 	}
 	f.combMu.Lock()
 	f.rebuildCombined()
@@ -215,9 +178,8 @@ func Build6Format(t *ip6.Table, lambda, shards int, format Format) (*FIB6, error
 // deduplicates isomorphic folded subtrees with every other member on
 // the writer side. Published blobs remain per-tenant (the v6
 // serializers' incremental group geometry is per-DAG), so the sharing
-// shows up in model bytes, not blob bytes. Serves v1 snapshots; the
-// barrier must satisfy k ≤ λ ≤ 16 so shards serve through the merged
-// root.
+// shows up in model bytes, not blob bytes. The barrier must satisfy
+// k ≤ λ ≤ 16 so shards serve through the merged root.
 func Build6Shared(sp *ip6.Space6, t *ip6.Table, lambda, shards int) (*FIB6, error) {
 	if shards < 1 || shards > MaxShards || shards&(shards-1) != 0 {
 		return nil, fmt.Errorf("shardfib: shard count %d not a power of two in [1,%d]", shards, MaxShards)
@@ -225,7 +187,6 @@ func Build6Shared(sp *ip6.Space6, t *ip6.Table, lambda, shards int) (*FIB6, erro
 	f := &FIB6{
 		shardBits: bits.TrailingZeros(uint(shards)),
 		lambda:    lambda,
-		format:    FormatV1,
 		shards:    make([]shard6, shards),
 		space:     sp,
 	}
@@ -241,7 +202,7 @@ func Build6Shared(sp *ip6.Space6, t *ip6.Table, lambda, shards int) (*FIB6, erro
 			return nil, err
 		}
 		f.shards[i].dag = d
-		f.shards[i].publish(lambda, FormatV1)
+		f.shards[i].publish(lambda)
 	}
 	f.combMu.Lock()
 	f.rebuildCombined()
@@ -289,9 +250,6 @@ func (f *FIB6) ShardBits() int { return f.shardBits }
 // Lambda reports the leaf-push barrier the shards fold with.
 func (f *FIB6) Lambda() int { return f.lambda }
 
-// Format reports the serialized snapshot format the FIB6 serves.
-func (f *FIB6) Format() Format { return f.format }
-
 // ShardOf reports the shard index owning an address.
 func (f *FIB6) ShardOf(addr ip6.Addr) int { return int(addr.Hi >> f.shift) }
 
@@ -301,7 +259,7 @@ func (f *FIB6) ShardOf(addr ip6.Addr) int { return int(addr.Hi >> f.shift) }
 func (f *FIB6) SnapshotsSerialized() bool {
 	for i := range f.shards {
 		s := f.shards[i].pin()
-		serialized := s.blob != nil || s.blob2 != nil
+		serialized := s.blob != nil
 		s.unpin()
 		if !serialized {
 			return false
@@ -328,7 +286,7 @@ func (f *FIB6) publishShard(sh *shard6) {
 	f.combMu.Lock()
 	f.reclaimCombined()
 	f.combMu.Unlock()
-	sh.publish(f.lambda, f.format)
+	sh.publish(f.lambda)
 	f.combMu.Lock()
 	f.rebuildCombined()
 	f.combMu.Unlock()
@@ -370,21 +328,16 @@ func (f *FIB6) rebuildCombined() {
 	}
 	c.snaps = c.snaps[:ns]
 	c.nodes = c.nodes[:ns]
-	c.format = f.format
 	c.shardBits = f.shardBits
 	c.shift = f.shift
 	merged := f.shardBits <= f.lambda && f.lambda <= mergedRootMaxLambda
 	for s := range f.shards {
 		snap := f.shards[s].pin() // held until the view is reclaimed
 		c.snaps[s] = snap
-		switch {
-		case snap.blob != nil:
+		if snap.blob != nil {
 			c.nodes[s] = snap.blob.Nodes
 			c.lambda = snap.blob.Lambda
-		case snap.blob2 != nil:
-			c.nodes[s] = snap.blob2.Words
-			c.lambda = snap.blob2.Lambda
-		default:
+		} else {
 			c.nodes[s] = nil
 			merged = false
 		}
@@ -399,7 +352,7 @@ func (f *FIB6) rebuildCombined() {
 		per := rootLen >> uint(f.shardBits)
 		for s := range f.shards {
 			lo := s * per
-			copy(c.root[lo:lo+per], c.snaps[s].rootArray()[lo:lo+per])
+			copy(c.root[lo:lo+per], c.snaps[s].blob.Root[lo:lo+per])
 		}
 	}
 	old := f.comb.Swap(c)
@@ -580,7 +533,7 @@ func (f *FIB6) ApplyBatch(ops []Op6) (int, error) {
 			}
 		}
 		if changed {
-			sh.publish(f.lambda, f.format)
+			sh.publish(f.lambda)
 			published = true
 			npub++
 			if ins != nil {
@@ -602,7 +555,6 @@ func (f *FIB6) ApplyBatch(ops []Op6) (int, error) {
 			UnixNs:  start.UnixNano(),
 			Kind:    obs.TraceApplyBatch,
 			Family:  6,
-			Format:  uint8(f.format),
 			Shards:  int32(len(touched)),
 			Dirty:   int32(npub),
 			Ops:     int32(len(ops)),
@@ -654,7 +606,6 @@ func (f *FIB6) Reload(t *ip6.Table) error {
 			UnixNs: start.UnixNano(),
 			Kind:   obs.TraceReload,
 			Family: 6,
-			Format: uint8(f.format),
 			Shards: int32(len(f.shards)),
 			Dirty:  int32(len(f.shards)),
 			Bytes:  int64(f.SizeBytes()),
@@ -687,14 +638,7 @@ func (f *FIB6) SizeBytes() int {
 	total := 0
 	for i := range f.shards {
 		s := f.shards[i].pin()
-		switch {
-		case s.blob != nil:
-			total += s.blob.SizeBytes()
-		case s.blob2 != nil:
-			total += s.blob2.SizeBytes()
-		default:
-			total += s.dag.ModelBytes()
-		}
+		total += snapshot6Bytes(s)
 		s.unpin()
 	}
 	return total

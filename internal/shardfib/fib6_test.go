@@ -32,56 +32,54 @@ func probes6(t *ip6.Table, rng *rand.Rand, uniform int) []ip6.Addr {
 
 // TestEquivalence6AcrossLambdas is the IPv6 differential matrix: the
 // sharded engine's scalar and batched paths against the flat ip6 DAG
-// for every format and for barriers exercising every serving mode —
-// λ < k (no merged root), the merged fast path at λ=8/11/16, and
-// λ=26 (> 24: no blob in either format, folded-DAG snapshots).
+// for barriers exercising every serving mode — λ < k (no merged
+// root), the merged fast path at λ=8/11/16, and λ=26 (> 24: no blob,
+// folded-DAG snapshots).
 func TestEquivalence6AcrossLambdas(t *testing.T) {
 	tab := testTable6(t, 3000, 71)
 	rng := rand.New(rand.NewSource(72))
 	addrs := probes6(tab, rng, 4096)
-	for _, format := range []Format{FormatV1, FormatV2} {
-		for _, lambda := range []int{0, 2, 8, 11, 16, 26} {
-			for _, shards := range []int{4, 16} {
-				flat, err := ip6.Build(tab, lambda)
-				if err != nil {
+	for _, lambda := range []int{0, 2, 8, 11, 16, 26} {
+		for _, shards := range []int{4, 16} {
+			flat, err := ip6.Build(tab, lambda)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := Build6(tab, lambda, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if serialized, want := f.SnapshotsSerialized(), lambda <= 24; serialized != want {
+				t.Fatalf("λ=%d shards=%d: SnapshotsSerialized=%v, want %v", lambda, shards, serialized, want)
+			}
+			dst := make([]uint32, len(addrs))
+			f.LookupBatchInto(dst, addrs)
+			for i, a := range addrs {
+				want := flat.Lookup(a)
+				if dst[i] != want {
+					t.Fatalf("λ=%d shards=%d batch addr %s: got %d, want %d", lambda, shards, a, dst[i], want)
+				}
+				if got := f.Lookup(a); got != want {
+					t.Fatalf("λ=%d shards=%d scalar addr %s: got %d, want %d", lambda, shards, a, got, want)
+				}
+			}
+			// Updates — including short prefixes replicated across
+			// shards — must keep every mode equivalent.
+			for j := 0; j < 50; j++ {
+				plen := 1 + rng.Intn(ip6.W)
+				a := ip6.Canonical(ip6.Addr{Hi: rng.Uint64(), Lo: rng.Uint64()}, plen)
+				label := 1 + uint32(rng.Intn(50))
+				if err := flat.Set(a, plen, label); err != nil {
 					t.Fatal(err)
 				}
-				f, err := Build6Format(tab, lambda, shards, format)
-				if err != nil {
+				if err := f.Set(a, plen, label); err != nil {
 					t.Fatal(err)
 				}
-				if serialized, want := f.SnapshotsSerialized(), lambda <= 24; serialized != want {
-					t.Fatalf("%v λ=%d shards=%d: SnapshotsSerialized=%v, want %v", format, lambda, shards, serialized, want)
-				}
-				dst := make([]uint32, len(addrs))
-				f.LookupBatchInto(dst, addrs)
-				for i, a := range addrs {
-					want := flat.Lookup(a)
-					if dst[i] != want {
-						t.Fatalf("%v λ=%d shards=%d batch addr %s: got %d, want %d", format, lambda, shards, a, dst[i], want)
-					}
-					if got := f.Lookup(a); got != want {
-						t.Fatalf("%v λ=%d shards=%d scalar addr %s: got %d, want %d", format, lambda, shards, a, got, want)
-					}
-				}
-				// Updates — including short prefixes replicated across
-				// shards — must keep every mode equivalent.
-				for j := 0; j < 50; j++ {
-					plen := 1 + rng.Intn(ip6.W)
-					a := ip6.Canonical(ip6.Addr{Hi: rng.Uint64(), Lo: rng.Uint64()}, plen)
-					label := 1 + uint32(rng.Intn(50))
-					if err := flat.Set(a, plen, label); err != nil {
-						t.Fatal(err)
-					}
-					if err := f.Set(a, plen, label); err != nil {
-						t.Fatal(err)
-					}
-				}
-				f.LookupBatchInto(dst, addrs[:512])
-				for i, a := range addrs[:512] {
-					if want := flat.Lookup(a); dst[i] != want {
-						t.Fatalf("%v λ=%d shards=%d post-update addr %s: got %d, want %d", format, lambda, shards, a, dst[i], want)
-					}
+			}
+			f.LookupBatchInto(dst, addrs[:512])
+			for i, a := range addrs[:512] {
+				if want := flat.Lookup(a); dst[i] != want {
+					t.Fatalf("λ=%d shards=%d post-update addr %s: got %d, want %d", lambda, shards, a, dst[i], want)
 				}
 			}
 		}
@@ -96,72 +94,67 @@ func TestApplyBatch6Equivalence(t *testing.T) {
 	tab := testTable6(t, 1500, 73)
 	rng := rand.New(rand.NewSource(74))
 	addrs := probes6(tab, rng, 2048)
-	for _, format := range []Format{FormatV1, FormatV2} {
-		for _, lambda := range []int{11, 16} {
-			for _, shards := range []int{4, 16} {
-				t.Run(fmt.Sprintf("%v/lambda=%d/shards=%d", format, lambda, shards), func(t *testing.T) {
-					// The batched engine serves the format under test;
-					// the per-op twin stays on v1, so the final sweep is
-					// also a cross-format differential.
-					batched, err := Build6Format(tab, lambda, shards, format)
+	for _, lambda := range []int{11, 16} {
+		for _, shards := range []int{4, 16} {
+			t.Run(fmt.Sprintf("v1/lambda=%d/shards=%d", lambda, shards), func(t *testing.T) {
+				batched, err := Build6(tab, lambda, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				serial, err := Build6(tab, lambda, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for round := 0; round < 10; round++ {
+					ops := make([]Op6, 64)
+					for i := range ops {
+						plen := 1 + rng.Intn(64)
+						ops[i] = Op6{
+							Addr: ip6.Canonical(ip6.Addr{Hi: 0x2000000000000000 | rng.Uint64()>>3, Lo: rng.Uint64()}, plen),
+							Len:  plen,
+						}
+						if rng.Intn(4) != 0 {
+							ops[i].Label = 1 + uint32(rng.Intn(100))
+						}
+					}
+					mutated, err := batched.ApplyBatch(ops)
 					if err != nil {
 						t.Fatal(err)
 					}
-					serial, err := Build6(tab, lambda, shards)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for round := 0; round < 10; round++ {
-						ops := make([]Op6, 64)
-						for i := range ops {
-							plen := 1 + rng.Intn(64)
-							ops[i] = Op6{
-								Addr: ip6.Canonical(ip6.Addr{Hi: 0x2000000000000000 | rng.Uint64()>>3, Lo: rng.Uint64()}, plen),
-								Len:  plen,
+					real := 0
+					for _, op := range ops {
+						if op.Label == ip6.NoLabel {
+							if serial.Delete(op.Addr, op.Len) {
+								real++
 							}
-							if rng.Intn(4) != 0 {
-								ops[i].Label = 1 + uint32(rng.Intn(100))
+						} else {
+							if serial.shards[serial.ShardOf(op.Addr)].dag.Control().Get(op.Addr, op.Len) != op.Label {
+								real++
 							}
-						}
-						mutated, err := batched.ApplyBatch(ops)
-						if err != nil {
-							t.Fatal(err)
-						}
-						real := 0
-						for _, op := range ops {
-							if op.Label == ip6.NoLabel {
-								if serial.Delete(op.Addr, op.Len) {
-									real++
-								}
-							} else {
-								if serial.shards[serial.ShardOf(op.Addr)].dag.Control().Get(op.Addr, op.Len) != op.Label {
-									real++
-								}
-								if err := serial.Set(op.Addr, op.Len, op.Label); err != nil {
-									t.Fatal(err)
-								}
-							}
-						}
-						if mutated > len(ops) || mutated != real {
-							t.Fatalf("round %d: mutated %d, serial counted %d", round, mutated, real)
-						}
-						for _, a := range addrs[:512] {
-							if got, want := batched.Lookup(a), serial.Lookup(a); got != want {
-								t.Fatalf("round %d addr %s: batched %d, serial %d", round, a, got, want)
+							if err := serial.Set(op.Addr, op.Len, op.Label); err != nil {
+								t.Fatal(err)
 							}
 						}
 					}
-					dst := make([]uint32, 256)
-					for lo := 0; lo+256 <= len(addrs); lo += 256 {
-						batched.LookupBatchInto(dst, addrs[lo:lo+256])
-						for j, a := range addrs[lo : lo+256] {
-							if want := serial.Lookup(a); dst[j] != want {
-								t.Fatalf("final batch addr %s: %d != %d", a, dst[j], want)
-							}
+					if mutated > len(ops) || mutated != real {
+						t.Fatalf("round %d: mutated %d, serial counted %d", round, mutated, real)
+					}
+					for _, a := range addrs[:512] {
+						if got, want := batched.Lookup(a), serial.Lookup(a); got != want {
+							t.Fatalf("round %d addr %s: batched %d, serial %d", round, a, got, want)
 						}
 					}
-				})
-			}
+				}
+				dst := make([]uint32, 256)
+				for lo := 0; lo+256 <= len(addrs); lo += 256 {
+					batched.LookupBatchInto(dst, addrs[lo:lo+256])
+					for j, a := range addrs[lo : lo+256] {
+						if want := serial.Lookup(a); dst[j] != want {
+							t.Fatalf("final batch addr %s: %d != %d", a, dst[j], want)
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -216,47 +209,6 @@ func TestRepublish6ZeroAllocs(t *testing.T) {
 	}
 	if evs := ins.Trace.Snapshot(); len(evs) == 0 || evs[0].Family != 6 || evs[0].Ops != 64 {
 		t.Fatalf("trace ring misrecorded the v6 batches: %+v", evs)
-	}
-}
-
-// TestRepublish6V2ZeroAllocs is the same write-side contract for the
-// stride-compressed format: steady-churn v6 republishing through
-// ApplyBatch into v2 snapshots — serialized via the dirty-subtree
-// path once the double buffers are warm — allocates nothing per batch.
-func TestRepublish6V2ZeroAllocs(t *testing.T) {
-	tab := testTable6(t, 2000, 85)
-	f, err := Build6Format(tab, 16, 16, FormatV2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.SetInstruments(&Instruments{PublishSeconds: obs.NewHistogram(1e-9), Trace: obs.NewTraceRing(64)})
-	rng := rand.New(rand.NewSource(86))
-	ops := make([]Op6, 64)
-	for i := range ops {
-		plen := 20 + rng.Intn(45)
-		ops[i] = Op6{
-			Addr: ip6.Canonical(ip6.Addr{Hi: 0x2000000000000000 | rng.Uint64()>>3, Lo: rng.Uint64()}, plen),
-			Len:  plen,
-		}
-	}
-	apply := func(round int) {
-		for i := range ops {
-			ops[i].Label = 1 + uint32(round&1)
-		}
-		if _, err := f.ApplyBatch(ops); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for r := 0; r < 8; r++ { // warm double buffers and scratch
-		apply(r)
-	}
-	r := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		apply(r)
-		r++
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-churn v6 v2 republish allocated %.2f times per batch, want 0", allocs)
 	}
 }
 

@@ -51,31 +51,24 @@ func SnapshotPinRetries() uint64 { return snapPinRetries.Load() }
 // ViewPinRetries is SnapshotPinRetries for the merged serving views.
 func ViewPinRetries() uint64 { return viewPinRetries.Load() }
 
-// snapshotBytes is the per-shard term of SizeBytes: a v1 snapshot's
-// root window (its node words are the space's arena, counted once), a
-// v2 snapshot's private blob. Callers pin the snapshot or hold the
-// shard's mu (it cannot be recycled mid-read).
+// snapshotBytes is the per-shard term of SizeBytes: the snapshot's
+// root window (its node words are the space's arena, counted once).
+// Callers pin the snapshot or hold the shard's mu (it cannot be
+// recycled mid-read).
 func snapshotBytes(s *snapshot) int {
-	switch {
-	case s.blob != nil:
+	if s.blob != nil {
 		return 4 * len(s.blob.Root)
-	case s.blob2 != nil:
-		return s.blob2.SizeBytes()
-	default:
-		return s.dag.ModelBytes()
 	}
+	return s.dag.ModelBytes()
 }
 
-// snapshot6Bytes is the IPv6 twin of snapshotBytes.
+// snapshot6Bytes is the IPv6 twin of snapshotBytes: the shard's
+// private blob.
 func snapshot6Bytes(s *snapshot6) int {
-	switch {
-	case s.blob != nil:
+	if s.blob != nil {
 		return s.blob.SizeBytes()
-	case s.blob2 != nil:
-		return s.blob2.SizeBytes()
-	default:
-		return s.dag.ModelBytes()
 	}
+	return s.dag.ModelBytes()
 }
 
 // RegisterMetrics registers the publish-pipeline metrics on r: the
@@ -94,7 +87,7 @@ func RegisterMetrics(r *obs.Registry, ins *Instruments, f *FIB, f6 *FIB6) {
 		SnapshotPinRetries)
 	r.MustCounterFunc("shardfib_pin_retries_total", `kind="view"`, "", ViewPinRetries)
 	if f != nil {
-		r.MustGaugeFunc("shardfib_blob_bytes", `family="4",format="`+f.Format().String()+`"`,
+		r.MustGaugeFunc("shardfib_blob_bytes", `family="4"`,
 			"Resident bytes of the serving form: published snapshots, and the arena of an engine that owns one.",
 			func() uint64 { return uint64(f.SizeBytes()) })
 		r.MustGaugeFunc("shardfib_arena_resident_bytes", "",
@@ -108,7 +101,7 @@ func RegisterMetrics(r *obs.Registry, ins *Instruments, f *FIB, f6 *FIB6) {
 			func() uint64 { _, _, n := f.Arena(); return n })
 	}
 	if f6 != nil {
-		r.MustGaugeFunc("shardfib_blob_bytes", `family="6",format="`+f6.Format().String()+`"`, "",
+		r.MustGaugeFunc("shardfib_blob_bytes", `family="6"`, "",
 			func() uint64 { return uint64(f6.SizeBytes()) })
 	}
 }

@@ -15,8 +15,8 @@
 //
 // Writes patch the owning shards' mutable DAGs in place (the
 // near-optimal incremental update of §4.3) and freeze each changed
-// shard into a serialized blob (§5.3). The default (v1) engine folds
-// all its shards into one pdag.Space arena: a publish appends only the
+// shard into a serialized blob (§5.3). The engine folds all its
+// shards into one pdag.Space arena: a publish appends only the
 // folded nodes the batch created and rewrites the changed shards'
 // 2^(λ-k)-entry root windows — into the window buffers of the
 // snapshots retired two publishes ago, so steady churn allocates
@@ -49,31 +49,6 @@ import (
 	"fibcomp/internal/trie"
 )
 
-// Format selects the serialized snapshot format the shards publish
-// and the merged view serves. Both formats share the root-array
-// encoding — the merged root splice and the fetch pass are format
-// blind — and both are pinned bit-identical to the flat prefix DAG;
-// they differ only in how the folded region below the barrier is
-// walked.
-type Format int
-
-const (
-	// FormatV1 is the §5.3 blob: two 32-bit words per folded interior
-	// node, one dependent memory touch per trie level below λ.
-	FormatV1 Format = iota
-	// FormatV2 is the stride-compressed blob (pdag.BlobV2): stride-4
-	// tree-bitmap nodes, one dependent touch per four levels — the
-	// format of choice for deep-walk-heavy (long-prefix) traffic.
-	FormatV2
-)
-
-func (f Format) String() string {
-	if f == FormatV2 {
-		return "v2"
-	}
-	return "v1"
-}
-
 // MaxShards bounds the shard count; 256 shards (k=8) is already far
 // past the point of diminishing returns for IPv4 serving.
 const MaxShards = 256
@@ -91,11 +66,11 @@ const mergedRootMaxLambda = 16
 // shard is one slice of the address space. cur is the published
 // immutable snapshot; dag is the writer-owned mutable prefix DAG
 // (with its control trie inside), guarded by mu together with the
-// right to publish — and, in an engine with a space, by the space
-// lock every writer takes first. spare (same guards) is the snapshot
-// retired by the previous publish: once no reader or merged view pins
-// it, the next publish serializes into its buffers in place, so
-// steady-churn republishing is double-buffered and allocation-free.
+// right to publish — and by the space lock every writer takes first.
+// spare (same guards) is the snapshot retired by the previous publish:
+// once no reader or merged view pins it, the next publish serializes
+// into its buffers in place, so steady-churn republishing is
+// double-buffered and allocation-free.
 type shard struct {
 	mu    sync.Mutex
 	idx   int // this shard's index — names its root window
@@ -105,10 +80,10 @@ type shard struct {
 }
 
 // snapshot is the frozen serving form of one shard: the serialized
-// blob in the FIB's format when the barrier admits one (λ ≤ 24,
-// always at the default λ=11), else a fresh fold of the shard's
-// control trie. Exactly one of blob, blob2 and dag is non-nil; either
-// way it shares no mutable state with the writer DAG.
+// blob when the barrier admits one (λ ≤ 24, always at the default
+// λ=11), else a fresh fold of the shard's control trie. Exactly one of
+// blob and dag is non-nil; either way it shares no mutable state with
+// the writer DAG.
 //
 // readers counts the holders of this snapshot — in-flight lookups and
 // the merged views referencing its buffers (see pin). The writer
@@ -118,7 +93,6 @@ type shard struct {
 // retries without ever dereferencing the contents.
 type snapshot struct {
 	blob    *pdag.Blob
-	blob2   *pdag.BlobV2
 	dag     *pdag.DAG
 	gen     uint64 // arena generation blob.Nodes aliases
 	readers atomic.Int64
@@ -128,33 +102,7 @@ func (s *snapshot) lookup(addr uint32) uint32 {
 	if s.blob != nil {
 		return s.blob.Lookup(addr)
 	}
-	if s.blob2 != nil {
-		return s.blob2.Lookup(addr)
-	}
 	return s.dag.Lookup(addr)
-}
-
-// rootArray exposes the snapshot's 2^λ root entries — the encoding
-// the two blob formats share — for the merged-root splice; nil for a
-// folded-DAG fallback snapshot.
-func (s *snapshot) rootArray() []uint32 {
-	if s.blob != nil {
-		return s.blob.Root
-	}
-	if s.blob2 != nil {
-		return s.blob2.Root
-	}
-	return nil
-}
-
-// rootBase reports the logical offset of rootArray()[0] within the
-// full 2^λ root: the shard window's offset for a v1 blob, 0 for a v2
-// blob, which carries the whole array.
-func (s *snapshot) rootBase() int {
-	if s.blob != nil {
-		return s.blob.RootBase
-	}
-	return 0
 }
 
 // pin loads the shard's current snapshot and registers as a holder of
@@ -180,11 +128,11 @@ func (sh *shard) pin() *snapshot {
 func (s *snapshot) unpin() { s.readers.Add(-1) }
 
 // publish freezes the shard's writer DAG and swaps the published
-// snapshot, retiring the previous one: a v1 engine emits into its
-// space's arena, publishing only the shard's root window; a v2 engine
-// serializes privately. An unserializable barrier (λ > 24) falls back
-// to refolding the control trie (the writer DAG itself must stay
-// private and mutable), which cannot fail: Build validated λ.
+// snapshot, retiring the previous one: it emits into the space's
+// arena, publishing only the shard's root window. An unserializable
+// barrier (λ > 24) falls back to refolding the control trie (the
+// writer DAG itself must stay private and mutable), which cannot fail:
+// Build validated λ.
 //
 // It reports false, having published nothing, when the arena ran out
 // of node indices: emit then starts a new generation and republishes
@@ -200,9 +148,8 @@ func (s *snapshot) unpin() { s.readers.Add(-1) }
 func (sh *shard) publish(f *FIB, last bool) bool {
 	next := sh.spare
 	var buf *pdag.Blob
-	var buf2 *pdag.BlobV2
 	if next != nil && next.readers.Load() == 0 {
-		buf, buf2 = next.blob, next.blob2
+		buf = next.blob
 		next.dag = nil
 	} else {
 		if next != nil && next.gen > f.leakGen {
@@ -210,23 +157,17 @@ func (sh *shard) publish(f *FIB, last bool) bool {
 		}
 		next = &snapshot{}
 	}
-	if f.space != nil {
-		blob, err := sh.dag.SerializeShared(buf, sh.idx>>uint(f.shardBits-f.winBits), f.winBits)
-		if err == nil {
-			next.blob, next.gen = blob, f.space.Generation()
-			sh.spare = sh.cur.Swap(next)
-			return true
-		}
-		if !last && f.space.NeedsCompact() {
-			return false
-		}
-	} else if blob2, err := sh.dag.SerializeV2Into(buf2); err == nil {
-		next.blob2 = blob2
+	blob, err := sh.dag.SerializeShared(buf, sh.idx>>uint(f.shardBits-f.winBits), f.winBits)
+	if err == nil {
+		next.blob, next.gen = blob, f.space.Generation()
 		sh.spare = sh.cur.Swap(next)
 		return true
 	}
+	if !last && f.space.NeedsCompact() {
+		return false
+	}
 	if d, err := pdag.FromTrie(sh.dag.Control(), f.lambda); err == nil {
-		next.blob, next.blob2, next.dag = nil, nil, d
+		next.blob, next.dag = nil, d
 		sh.spare = sh.cur.Swap(next)
 	}
 	return true
@@ -234,13 +175,13 @@ func (sh *shard) publish(f *FIB, last bool) bool {
 
 // combined is the merged serving view the read paths walk: the live
 // 2^(λ-k) root slots of every shard's blob concatenated in shard
-// order (root), each shard's folded-region words (nodes — v1 node
-// pairs or v2 stride records, per the FIB's format), and the backing
-// snapshots (snaps), which the view holds pinned for as long as it is
-// reachable so their buffers cannot be recycled under a reader. root
-// is empty when the barrier is outside [k, mergedRootMaxLambda] or a
-// shard fell back to a folded-DAG snapshot; lookups then resolve
-// per-address through snaps — still one pinned, consistent view.
+// order (root), each shard's folded-region node words (nodes), and the
+// backing snapshots (snaps), which the view holds pinned for as long
+// as it is reachable so their buffers cannot be recycled under a
+// reader. root is empty when the barrier is outside
+// [k, mergedRootMaxLambda] or a shard fell back to a folded-DAG
+// snapshot; lookups then resolve per-address through snaps — still one
+// pinned, consistent view.
 //
 // readers counts in-flight lookups, with the same pin/validate
 // recycling protocol as snapshots; recycling a retired view is what
@@ -251,11 +192,10 @@ type combined struct {
 	snaps []*snapshot
 
 	// The walk geometry a pinned View needs to resolve without
-	// touching the FIB again: the snapshot format, the shard index
-	// width and the owning FIB's shard shift, frozen per rebuild.
+	// touching the FIB again: the shard index width and the owning
+	// FIB's shard shift, frozen per rebuild.
 	lambda    int
 	width     int
-	format    Format
 	shardBits int
 	shift     uint
 
@@ -269,15 +209,13 @@ type FIB struct {
 	shardBits int  // k
 	shift     uint // fib.W - k; addr >> shift selects the shard
 	lambda    int
-	format    Format
 	shards    []shard
 
-	// space is the hash-cons universe a v1 engine's shard DAGs fold
-	// into and whose arena their blobs alias (nil for FormatV2): its own
-	// (own, the default), or one BuildShared was handed so that
-	// near-identical tenant FIBs cost little more than one. Every write
-	// takes the space lock first (lock order: space → applyMu →
-	// shard.mu → combMu). merged says the barrier admits a merged root;
+	// space is the hash-cons universe the shard DAGs fold into and
+	// whose arena their blobs alias: its own (own, the default), or one
+	// BuildShared was handed so that near-identical tenant FIBs cost
+	// little more than one. Every write takes the space lock first
+	// (lock order: space → applyMu → shard.mu → combMu). merged says the barrier admits a merged root;
 	// winBits is then shardBits, else 0: a shard publishes the 2^λ
 	// array whole. windows is the root words the shards publish together.
 	space   *pdag.Space
@@ -320,21 +258,10 @@ type FIB struct {
 }
 
 // Build partitions a FIB table into `shards` prefix DAGs (a power of
-// two in [1, MaxShards]) folded with leaf-push barrier lambda,
-// serving v1 snapshots.
+// two in [1, MaxShards]) folded with leaf-push barrier lambda, into an
+// arena of the engine's own.
 func Build(t *fib.Table, lambda, shards int) (*FIB, error) {
-	return BuildFormat(t, lambda, shards, FormatV1)
-}
-
-// BuildFormat is Build with an explicit snapshot format. The format
-// is fixed for the FIB's lifetime: every publish — initial build,
-// update republish, Reload — freezes its shard into that format, and
-// the merged view walks it with the matching batch engine.
-func BuildFormat(t *fib.Table, lambda, shards int, format Format) (*FIB, error) {
-	if format != FormatV1 && format != FormatV2 {
-		return nil, fmt.Errorf("shardfib: unknown snapshot format %d", format)
-	}
-	return build(nil, t, lambda, shards, format)
+	return build(nil, t, lambda, shards)
 }
 
 // BuildShared builds a FIB whose shard DAGs fold into sp — the
@@ -342,26 +269,24 @@ func BuildFormat(t *fib.Table, lambda, shards int, format Format) (*FIB, error) 
 // isomorphic folded subtrees with every other member on both the
 // writer side (one hash-cons universe) and the serving side (blobs
 // alias the space's shared arenas, and bit-identical root windows are
-// interned). Shared FIBs always publish v1 snapshots, and the barrier
-// must satisfy k ≤ λ ≤ 16 so every shard serves through the merged
-// root. Lookups are exactly as in a private FIB; writes take the space
-// lock, serializing control-plane churn across tenants (data-plane
-// reads are never blocked).
+// interned). The barrier must satisfy k ≤ λ ≤ 16 so every shard
+// serves through the merged root. Lookups are exactly as in a private
+// FIB; writes take the space lock, serializing control-plane churn
+// across tenants (data-plane reads are never blocked).
 func BuildShared(sp *pdag.Space, t *fib.Table, lambda, shards int) (*FIB, error) {
-	return build(sp, t, lambda, shards, FormatV1)
+	return build(sp, t, lambda, shards)
 }
 
-// build is the one constructor. A v1 engine handed no space makes its
+// build is the one constructor. An engine handed no space makes its
 // own arena, and starts that arena's first generation once the fold
 // has said how large it must be.
-func build(sp *pdag.Space, t *fib.Table, lambda, shards int, format Format) (*FIB, error) {
+func build(sp *pdag.Space, t *fib.Table, lambda, shards int) (*FIB, error) {
 	if shards < 1 || shards > MaxShards || shards&(shards-1) != 0 {
 		return nil, fmt.Errorf("shardfib: shard count %d not a power of two in [1,%d]", shards, MaxShards)
 	}
 	f := &FIB{
 		shardBits: bits.TrailingZeros(uint(shards)),
 		lambda:    lambda,
-		format:    format,
 		shards:    make([]shard, shards),
 		space:     sp,
 	}
@@ -372,22 +297,14 @@ func build(sp *pdag.Space, t *fib.Table, lambda, shards int, format Format) (*FI
 		return nil, fmt.Errorf("shardfib: shared mode needs k=%d ≤ λ=%d ≤ %d", f.shardBits, lambda, mergedRootMaxLambda)
 	}
 	f.windows = shards << uint(max(min(lambda, fib.W)-f.winBits, 0))
-	if f.own = sp == nil && format == FormatV1; f.own {
+	if f.own = sp == nil; f.own {
 		f.space = pdag.NewArena(f.windows)
 	}
-	if f.space != nil {
-		f.space.Lock()
-		defer f.space.Unlock()
-	}
+	f.space.Lock()
+	defer f.space.Unlock()
 	all := make([]int, shards)
 	for i, tr := range f.partition(t) {
-		var d *pdag.DAG
-		var err error
-		if f.space != nil {
-			d, err = pdag.FromTrieShared(f.space, tr, lambda)
-		} else {
-			d, err = pdag.FromTrie(tr, lambda)
-		}
+		d, err := pdag.FromTrieShared(f.space, tr, lambda)
 		if err != nil {
 			return nil, err
 		}
@@ -437,19 +354,15 @@ func (f *FIB) ShardBits() int { return f.shardBits }
 // Lambda reports the leaf-push barrier the shards fold with.
 func (f *FIB) Lambda() int { return f.lambda }
 
-// Format reports the serialized snapshot format the FIB serves.
-func (f *FIB) Format() Format { return f.format }
-
 // SnapshotsSerialized reports whether every shard currently serves a
-// serialized blob of the FIB's format. False means at least one shard
-// fell back to an unserialized folded-DAG snapshot (barrier beyond
-// the serializable range, or a folded region too large for the blob
-// index space) — correct but slower, and worth surfacing to an
-// operator who asked for a specific blob format.
+// serialized blob. False means at least one shard fell back to an
+// unserialized folded-DAG snapshot (barrier beyond the serializable
+// range, or a folded region too large for the blob index space) —
+// correct but slower, and worth surfacing to an operator.
 func (f *FIB) SnapshotsSerialized() bool {
 	for i := range f.shards {
 		s := f.shards[i].pin()
-		serialized := s.blob != nil || s.blob2 != nil
+		serialized := s.blob != nil
 		s.unpin()
 		if !serialized {
 			return false
@@ -479,11 +392,11 @@ func (f *FIB) pinCombined() *combined {
 // short merge (2^λ root words plus per-shard slice headers) — or, when
 // the space wants a new arena generation first, re-emits every shard
 // into that. It returns the number of shards published and the bytes
-// written: root windows or private blobs, plus the arena's growth.
+// written: root windows, plus the arena's growth.
 // Called with the space lock held and no shard lock.
 func (f *FIB) emit(dirty []int) (int, int64) {
 	arena0, bytes := f.arenaResident.Load(), int64(0)
-	compact := f.space != nil && f.space.NeedsCompact()
+	compact := f.space.NeedsCompact()
 	for i := 0; i < len(dirty) && !compact; i++ {
 		sh := &f.shards[dirty[i]]
 		sh.mu.Lock()
@@ -598,21 +511,16 @@ func (f *FIB) rebuildCombined() {
 	}
 	c.snaps = c.snaps[:ns]
 	c.nodes = c.nodes[:ns]
-	c.format = f.format
 	c.shardBits = f.shardBits
 	c.shift = f.shift
 	merged := f.merged
 	for s := range f.shards {
 		snap := f.shards[s].pin() // held until the view is reclaimed
 		c.snaps[s] = snap
-		switch {
-		case snap.blob != nil:
+		if snap.blob != nil {
 			c.nodes[s] = snap.blob.Nodes
 			c.lambda, c.width = snap.blob.Lambda, snap.blob.Width
-		case snap.blob2 != nil:
-			c.nodes[s] = snap.blob2.Words
-			c.lambda, c.width = snap.blob2.Lambda, snap.blob2.Width
-		default:
+		} else {
 			c.nodes[s] = nil
 			merged = false
 		}
@@ -627,8 +535,8 @@ func (f *FIB) rebuildCombined() {
 		per := rootLen >> uint(f.shardBits)
 		for s := range f.shards {
 			lo := s * per
-			ra, base := c.snaps[s].rootArray(), c.snaps[s].rootBase()
-			copy(c.root[lo:lo+per], ra[lo-base:lo-base+per])
+			b := c.snaps[s].blob
+			copy(c.root[lo:lo+per], b.Root[lo-b.RootBase:lo-b.RootBase+per])
 		}
 	}
 	old := f.comb.Swap(c)
@@ -746,10 +654,8 @@ func (f *FIB) ApplyBatch(ops []Op) (int, error) {
 	if len(ops) == 0 {
 		return 0, nil
 	}
-	if f.space != nil {
-		f.space.Lock()
-		defer f.space.Unlock()
-	}
+	f.space.Lock()
+	defer f.space.Unlock()
 	f.applyMu.Lock()
 	defer f.applyMu.Unlock()
 	if f.applyScratch == nil {
@@ -831,7 +737,6 @@ func (f *FIB) ApplyBatch(ops []Op) (int, error) {
 			UnixNs:  start.UnixNano(),
 			Kind:    obs.TraceApplyBatch,
 			Family:  4,
-			Format:  uint8(f.format),
 			Shards:  int32(ntouched),
 			Dirty:   int32(npub),
 			Ops:     int32(len(ops)),
@@ -853,18 +758,10 @@ func (f *FIB) Reload(t *fib.Table) error {
 	if ins != nil {
 		start = time.Now()
 	}
-	if f.space != nil {
-		f.space.Lock()
-		defer f.space.Unlock()
-	}
+	f.space.Lock()
+	defer f.space.Unlock()
 	for i, tr := range f.partition(t) {
-		var d *pdag.DAG
-		var err error
-		if f.space != nil {
-			d, err = pdag.FromTrieShared(f.space, tr, f.lambda)
-		} else {
-			d, err = pdag.FromTrie(tr, f.lambda)
-		}
+		d, err := pdag.FromTrieShared(f.space, tr, f.lambda)
 		if err != nil {
 			return err
 		}
@@ -875,11 +772,9 @@ func (f *FIB) Reload(t *fib.Table) error {
 		sh.mu.Unlock()
 		f.reclaim()
 		f.emit([]int{i})
-		if f.space != nil {
-			// Return the replaced DAG's folded references to the space
-			// so the old table does not pin its subtrees forever.
-			old.Release()
-		}
+		// Return the replaced DAG's folded references to the space so
+		// the old table does not pin its subtrees forever.
+		old.Release()
 	}
 	if ins != nil {
 		d := time.Since(start)
@@ -888,7 +783,6 @@ func (f *FIB) Reload(t *fib.Table) error {
 			UnixNs: start.UnixNano(),
 			Kind:   obs.TraceReload,
 			Family: 4,
-			Format: uint8(f.format),
 			Shards: int32(len(f.shards)),
 			Dirty:  int32(len(f.shards)),
 			Bytes:  int64(f.SizeBytes()),
@@ -900,14 +794,12 @@ func (f *FIB) Reload(t *fib.Table) error {
 
 // ModelBytes reports the summed §4.2 model size of the shard DAGs.
 // Replicated short prefixes make this slightly larger than the flat
-// DAG's — the memory cost of sharding. The folded region of an engine
-// with a space is the space's (one index across its shards, and across
+// DAG's — the memory cost of sharding. The folded region is the
+// space's (one index across the engine's shards, and across
 // co-tenants in shared mode), counted once.
 func (f *FIB) ModelBytes() int {
-	if f.space != nil {
-		f.space.Lock()
-		defer f.space.Unlock()
-	}
+	f.space.Lock()
+	defer f.space.Unlock()
 	total := 0
 	for i := range f.shards {
 		sh := &f.shards[i]
@@ -915,7 +807,7 @@ func (f *FIB) ModelBytes() int {
 		st := sh.dag.Stats()
 		sh.mu.Unlock()
 		total += st.ModelBits
-		if f.space != nil && i > 0 {
+		if i > 0 {
 			total -= st.FoldedInterior*2*st.PointerBits + st.FoldedLeaves*bits.Len(uint(st.Delta))
 		}
 	}
@@ -924,10 +816,10 @@ func (f *FIB) ModelBytes() int {
 
 // SizeBytes reports the resident byte size of the serving form (the
 // line-card form actually walked by lookups): every shard's published
-// root window or private blob, plus — for an engine that owns its
-// arena — the arena's node words, garbage included (at most half again
-// the live ones). A member of a shared space reports its windows only;
-// the arena is counted once, by Space.SharedBytes.
+// root window, plus — for an engine that owns its arena — the arena's
+// node words, garbage included (at most half again the live ones). A
+// member of a shared space reports its windows only; the arena is
+// counted once, by Space.SharedBytes.
 func (f *FIB) SizeBytes() int {
 	total := int(f.arenaResident.Load())
 	for i := range f.shards {

@@ -15,13 +15,13 @@ import (
 // TestStationaryUnderChurn is the v4 arm of the roadmap's stationarity
 // property: serving bytes track the table, not the history, and a
 // publish costs what it cost at the start. For seeded BGP-like and
-// flap-storm sequences of 240 batches, both formats, after every batch:
+// flap-storm sequences of 240 batches, after every batch:
 //
 //	(a) LookupBatch over a probe set is bit-identical to the offline
 //	    replay of the same updates;
 //	(b) SizeBytes() ≤ 1.5 × SizeBytes() of a fresh Build of the
 //	    resulting table, plus one root window per shard — the arena's
-//	    garbage rule for v1, nothing to reclaim for v2's private blobs;
+//	    garbage rule;
 //
 // and over the whole sequence (c) the mean ApplyBatch time of the last
 // third is within 1.5× of the first third's (not under -short or -race,
@@ -48,21 +48,19 @@ func TestStationaryUnderChurn(t *testing.T) {
 		},
 		"flap": func(rng *rand.Rand) []gen.Update { return gen.FlapStorm(rng, tab, batches*size, 256) },
 	}
-	for _, format := range []Format{FormatV1, FormatV2} {
-		for _, lambda := range []int{8, 11} {
-			for _, shards := range []int{4, 16} {
-				for name, feed := range feeds {
-					t.Run(fmt.Sprintf("%v/lambda=%d/shards=%d/%s", format, lambda, shards, name), func(t *testing.T) {
-						stationary(t, tab, feed(rand.New(rand.NewSource(32))), lambda, shards, size, format)
-					})
-				}
+	for _, lambda := range []int{8, 11} {
+		for _, shards := range []int{4, 16} {
+			for name, feed := range feeds {
+				t.Run(fmt.Sprintf("v1/lambda=%d/shards=%d/%s", lambda, shards, name), func(t *testing.T) {
+					stationary(t, tab, feed(rand.New(rand.NewSource(32))), lambda, shards, size)
+				})
 			}
 		}
 	}
 }
 
-func stationary(t *testing.T, tab *fib.Table, us []gen.Update, lambda, shards, size int, format Format) {
-	f, err := BuildFormat(tab, lambda, shards, format)
+func stationary(t *testing.T, tab *fib.Table, us []gen.Update, lambda, shards, size int) {
+	f, err := Build(tab, lambda, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +89,7 @@ func stationary(t *testing.T, tab *fib.Table, us []gen.Update, lambda, shards, s
 				t.Fatalf("batch %d: addr %08x -> %d, offline replay says %d", lo/size, a, got[i], want)
 			}
 		}
-		fresh, err := BuildFormat(&fib.Table{Entries: ctl.Entries()}, lambda, shards, format)
+		fresh, err := Build(&fib.Table{Entries: ctl.Entries()}, lambda, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +107,7 @@ func stationary(t *testing.T, tab *fib.Table, us []gen.Update, lambda, shards, s
 	ops := opsFromUpdates(us)
 	var first, last time.Duration
 	for try := 0; try < 3; try++ {
-		if f, err = BuildFormat(tab, lambda, shards, format); err != nil {
+		if f, err = Build(tab, lambda, shards); err != nil {
 			t.Fatal(err)
 		}
 		runtime.GC()

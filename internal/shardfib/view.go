@@ -49,11 +49,7 @@ func (v View) LookupBatchInto(dst, addrs []uint32) {
 	}
 	dst = dst[:n]
 	if len(c.root) != 0 {
-		if c.format == FormatV2 {
-			pdag.LookupBatchMergedV2(dst, addrs, c.root, c.nodes, c.shardBits, c.lambda, c.width)
-		} else {
-			pdag.LookupBatchMerged(dst, addrs, c.root, c.nodes, c.shardBits, c.lambda, c.width)
-		}
+		pdag.LookupBatchMerged(dst, addrs, c.root, c.nodes, c.shardBits, c.lambda, c.width)
 	} else {
 		// Barrier outside [k, 16]: no merged root is maintained;
 		// resolve per address against the view's pinned snapshots
@@ -91,11 +87,7 @@ func (v View6) LookupBatchInto(dst []uint32, addrs []ip6.Addr) {
 	}
 	dst = dst[:n]
 	if len(c.root) != 0 {
-		if c.format == FormatV2 {
-			ip6.LookupBatchMergedV2(dst, addrs, c.root, c.nodes, c.shardBits, c.lambda)
-		} else {
-			ip6.LookupBatchMerged(dst, addrs, c.root, c.nodes, c.shardBits, c.lambda)
-		}
+		ip6.LookupBatchMerged(dst, addrs, c.root, c.nodes, c.shardBits, c.lambda)
 	} else {
 		// Barrier outside [k, 16]: resolve per address against the
 		// view's pinned snapshots (correctness path).
