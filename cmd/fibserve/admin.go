@@ -28,21 +28,16 @@ type status struct {
 	ins   *shardfib.Instruments
 	reg   *obs.Registry
 
-	// IPv4 serving topology, as the banner reports it; sharded is nil
-	// when the flat single-blob engine serves.
+	// IPv4 serving topology, as the banner reports it.
 	sharded  *shardfib.FIB
 	prefixes int
-	size     int
 	shards   int
-	blob     string
 	sockets  string
 
-	// IPv6, when -fib6 configured it.
-	dual      bool
+	// IPv6: sharded6 is nil unless -fib6 configured it.
+	sharded6  *shardfib.FIB6
 	prefixes6 int
-	size6     int
 	lambda6   int
-	blob6     string
 
 	// Update plane configuration, when -updates enabled it.
 	families string
@@ -56,18 +51,23 @@ type status struct {
 	vrfCounts func() map[uint16][2]int
 }
 
+// servedForm names what every engine serves, in the banner and in
+// /statusz: the size beside it is the resident arena plus the shards'
+// root windows — what lookups walk and what churn may grow by half.
+const servedForm = "v1, one arena"
+
 // printBanner emits the startup lines. The formats are pinned: CI and
 // operator scripts match them verbatim.
 func (st *status) printBanner() {
 	fmt.Printf("fibserve: %d prefixes compressed to %.1f KB (%d shard(s), blob %s), serving on %s (%d worker(s), %s)\n",
-		st.prefixes, float64(st.size)/1024, st.shards, st.blob, st.srv.Addr(), st.srv.Workers(), st.sockets)
-	if st.dual {
+		st.prefixes, float64(st.sharded.SizeBytes())/1024, st.shards, servedForm, st.srv.Addr(), st.srv.Workers(), st.sockets)
+	if st.sharded6 != nil {
 		fmt.Printf("fibserve: dual-stack: %d IPv6 prefixes compressed to %.1f KB (λ6=%d, blob %s)\n",
-			st.prefixes6, float64(st.size6)/1024, st.lambda6, st.blob6)
+			st.prefixes6, float64(st.sharded6.SizeBytes())/1024, st.lambda6, servedForm)
 	}
 	if st.vreg != nil {
-		fmt.Printf("fibserve: %d VRF tenants sharing one hash-cons index (shared arenas %.1f KB, tenant-private %.1f KB)\n",
-			st.vreg.Len(), float64(st.vreg.SharedBytes())/1024, float64(st.vreg.UniqueBytes())/1024)
+		fmt.Printf("fibserve: %d VRF tenants sharing one hash-cons index per family (shared arenas %.1f KB)\n",
+			st.vreg.Len(), float64(st.vreg.SharedBytes())/1024)
 	}
 	if st.upd != nil {
 		fmt.Printf("fibserve: route-update plane on %s (%s, staleness bound %s, restart time %s, idle timeout %s)\n",
@@ -113,15 +113,10 @@ type statuszPayload struct {
 		Shards    int    `json:"shards"`
 		Blob      string `json:"blob"`
 	} `json:"serving"`
-	Arena    *arenaStatus `json:"arena,omitempty"`
-	Serving6 *struct {
-		Prefixes  int    `json:"prefixes"`
-		SizeBytes int    `json:"size_bytes"`
-		Lambda    int    `json:"lambda"`
-		Blob      string `json:"blob"`
-	} `json:"serving6,omitempty"`
-	Workers []lookupd.WorkerStat `json:"workers"`
-	Plane   *struct {
+	Arena    arenaStatus          `json:"arena"`
+	Serving6 *serving6Status      `json:"serving6,omitempty"`
+	Workers  []lookupd.WorkerStat `json:"workers"`
+	Plane    *struct {
 		ribd.Stats
 		Pending int `json:"pending"`
 	} `json:"plane,omitempty"`
@@ -130,8 +125,17 @@ type statuszPayload struct {
 	Trace []obs.TraceEvent `json:"trace"`
 }
 
-// arenaStatus is the live state of the IPv4 engine's own arena: what
-// it holds against what a fresh build of the current table would, the
+// serving6Status is the IPv6 engine's section of /statusz.
+type serving6Status struct {
+	Prefixes  int         `json:"prefixes"`
+	SizeBytes int         `json:"size_bytes"`
+	Lambda    int         `json:"lambda"`
+	Blob      string      `json:"blob"`
+	Arena     arenaStatus `json:"arena"`
+}
+
+// arenaStatus is the live state of an engine's own arena: what it
+// holds against what a fresh build of the current table would, the
 // ratio a compaction keeps under 1.5, and the generation serving now.
 type arenaStatus struct {
 	ResidentBytes int     `json:"resident_bytes"`
@@ -140,12 +144,15 @@ type arenaStatus struct {
 	Generation    uint64  `json:"generation"`
 }
 
+func arenaOf(resident, live int, compactions uint64) arenaStatus {
+	return arenaStatus{resident, live, float64(resident) / float64(live), compactions + 1}
+}
+
 // vrfStatus is the multi-tenant section of /statusz: the shared-index
 // economics plus one row per tenant.
 type vrfStatus struct {
 	Tenants     int      `json:"tenants"`
 	SharedBytes int      `json:"shared_bytes"`
-	UniqueBytes int      `json:"unique_bytes"`
 	Rows        []vrfRow `json:"rows"`
 }
 
@@ -153,8 +160,8 @@ type vrfRow struct {
 	ID         uint16 `json:"id"`
 	Prefixes   int    `json:"prefixes"`
 	Prefixes6  int    `json:"prefixes6"`
-	SizeBytes  int    `json:"size_bytes"`  // v4: published root windows (arena counted once in shared_bytes)
-	SizeBytes6 int    `json:"size_bytes6"` // v6: tenant-private blobs
+	SizeBytes  int    `json:"size_bytes"`  // published root windows before interning (resident: shared_bytes)
+	SizeBytes6 int    `json:"size_bytes6"` // the same, IPv6
 }
 
 func (st *status) statusz() statuszPayload {
@@ -163,21 +170,12 @@ func (st *status) statusz() statuszPayload {
 	p.Serving.Workers = st.srv.Workers()
 	p.Serving.Sockets = st.sockets
 	p.Serving.Prefixes = st.prefixes
-	p.Serving.SizeBytes = st.size
+	p.Serving.SizeBytes = st.sharded.SizeBytes()
 	p.Serving.Shards = st.shards
-	p.Serving.Blob = st.blob
-	if st.sharded != nil {
-		if resident, live, compactions := st.sharded.Arena(); resident > 0 {
-			p.Arena = &arenaStatus{resident, live, float64(resident) / float64(live), compactions + 1}
-		}
-	}
-	if st.dual {
-		p.Serving6 = &struct {
-			Prefixes  int    `json:"prefixes"`
-			SizeBytes int    `json:"size_bytes"`
-			Lambda    int    `json:"lambda"`
-			Blob      string `json:"blob"`
-		}{st.prefixes6, st.size6, st.lambda6, st.blob6}
+	p.Serving.Blob = servedForm
+	p.Arena = arenaOf(st.sharded.Arena())
+	if f6 := st.sharded6; f6 != nil {
+		p.Serving6 = &serving6Status{st.prefixes6, f6.SizeBytes(), st.lambda6, servedForm, arenaOf(f6.Arena())}
 	}
 	p.Workers = st.srv.WorkerStats()
 	if st.plane != nil {
@@ -192,7 +190,6 @@ func (st *status) statusz() statuszPayload {
 		vs := &vrfStatus{
 			Tenants:     st.vreg.Len(),
 			SharedBytes: st.vreg.SharedBytes(),
-			UniqueBytes: st.vreg.UniqueBytes(),
 		}
 		for _, tn := range st.vreg.Tenants() {
 			c := counts[tn.ID]

@@ -1,10 +1,10 @@
 // Command fibserve serves longest-prefix-match lookups over UDP from
 // a compressed FIB. It reads a FIB in the text format, folds it into
-// a prefix DAG — or, with -shards > 1, into a sharded concurrent
-// engine whose lookups are lock-free — and answers batched lookup
-// datagrams (4-byte big-endian addresses in, 4-byte labels out).
-// When serving from a file, SIGHUP re-reads it and hot-swaps the FIB
-// without dropping a single in-flight lookup.
+// the sharded concurrent engine (-shards prefix DAGs, one at the
+// default, serialized into one arena; lookups are lock-free) and
+// answers batched lookup datagrams (4-byte big-endian addresses in,
+// 4-byte labels out). When serving from a file, SIGHUP re-reads it and
+// hot-swaps the FIB without dropping a single in-flight lookup.
 //
 // -workers N runs N parallel serve loops (default: one per CPU). On
 // Linux each loop owns its own SO_REUSEPORT socket, so the kernel
@@ -17,10 +17,9 @@
 // TCP listener accepting "announce prefix label" / "withdraw prefix"
 // feeds from concurrent peers, coalescing them per shard and
 // republishing at a paced rate, so the FIB converges while serving
-// (SIGHUP whole-file reload remains as the fallback). It implies the
-// sharded engine, even at -shards 1. SIGINT/SIGTERM shut down
-// gracefully: stop accepting peers, drain the pending update batch,
-// answer the in-flight lookup, then exit.
+// (SIGHUP whole-file reload remains as the fallback). SIGINT/SIGTERM
+// shut down gracefully: stop accepting peers, drain the pending update
+// batch, answer the in-flight lookup, then exit.
 //
 // -admin exposes the telemetry endpoint over HTTP: /metrics
 // (Prometheus text exposition from the internal/obs registry every
@@ -30,23 +29,24 @@
 // hot paths at zero allocation; scrapes never block a serve loop.
 //
 // -fib6 serves IPv6 alongside IPv4 from the same UDP socket: the v6
-// table is folded into its own sharded engine (ip6 serialized blobs
-// behind the same pin/validate republish machinery), v6 datagrams are
-// AF-tagged on the wire while untagged v4 requests stay exactly the
-// PR 1 format, the update plane accepts interleaved dual-stack feeds,
-// and SIGHUP reloads both files.
+// table is folded into its own engine of the same kind (the same
+// arena, generations and pin/validate republish, a 128-bit walk), v6
+// datagrams are AF-tagged on the wire while untagged v4 requests stay
+// exactly the PR 1 format, the update plane accepts interleaved
+// dual-stack feeds, and SIGHUP reloads both files.
 //
 // -vrfs serves multi-tenant VRF tables next to the default one:
 // comma-separated "id=v4file[:v6file]" entries, every tenant folded
-// into one shared hash-cons index so near-identical tenant tables
-// share their common structure (and, for IPv4, their serialized
-// arenas — hundreds of tenants cost little more resident memory than
-// one). VRF-tagged lookup datagrams (leading 0x84/0x86 byte plus a
-// 2-byte tenant id) select the tenant; -query -vrf <id> scopes a
-// client query; a ribd session opened with "hello <peer> vrf <id>"
-// feeds that tenant's own update plane; SIGHUP re-reads every
-// tenant's files with per-tenant failure isolation; /statusz and
-// /metrics report the shared/unique byte split and per-tenant rows.
+// into one shared hash-cons index per family so near-identical tenant
+// tables share their common structure and their serialized arenas —
+// hundreds of tenants cost little more resident memory than one, and a
+// family no tenant has routes in costs one root window. VRF-tagged
+// lookup datagrams (leading 0x84/0x86 byte plus a 2-byte tenant id)
+// select the tenant; -query -vrf <id> scopes a client query; a ribd
+// session opened with "hello <peer> vrf <id>" feeds that tenant's own
+// update plane; SIGHUP re-reads every tenant's files with per-tenant
+// failure isolation; /statusz and /metrics report the shared arenas'
+// bytes and per-tenant rows.
 //
 //	fibgen -profile access(v) > t.fib
 //	fibgen -6 -n 150000 > t6.fib
@@ -73,7 +73,6 @@ import (
 	"fibcomp/internal/ip6"
 	"fibcomp/internal/lookupd"
 	"fibcomp/internal/obs"
-	"fibcomp/internal/pdag"
 	"fibcomp/internal/ribd"
 	"fibcomp/internal/shardfib"
 	"fibcomp/internal/vrftab"
@@ -148,11 +147,11 @@ func main() {
 		listen  = flag.String("listen", "127.0.0.1:7000", "UDP address to serve on")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel serve loops (default: one per CPU)")
 		reuse   = flag.Bool("reuseport", true, "shard serving across per-worker SO_REUSEPORT sockets where supported")
-		lambda  = flag.Int("lambda", 11, "leaf-push barrier")
-		shards  = flag.Int("shards", 1, "shard count (power of two; >1 serves the sharded concurrent engine)")
+		lambda  = flag.Int("lambda", 11, fmt.Sprintf("leaf-push barrier, in [log2 shards, %d]", shardfib.MaxLambda))
+		shards  = flag.Int("shards", 1, "shard count (power of two)")
 		fib6    = flag.String("fib6", "", "IPv6 FIB file: serve dual-stack (AF-tagged v6 datagrams next to untagged v4)")
-		lambda6 = flag.Int("lambda6", 16, "IPv6 leaf-push barrier")
-		updates = flag.String("updates", "", "TCP address for the live route-update plane (ribd); implies the sharded engine")
+		lambda6 = flag.Int("lambda6", 16, fmt.Sprintf("IPv6 leaf-push barrier, in [log2 shards, %d]", shardfib.MaxLambda))
+		updates = flag.String("updates", "", "TCP address for the live route-update plane (ribd)")
 		stale   = flag.Duration("max-staleness", ribd.DefaultMaxStaleness, "update plane: staleness bound on paced republish")
 		idle    = flag.Duration("peer-idle-timeout", ribd.DefaultIdleTimeout, "update plane: reset a peer session after this long without a line (negative disables)")
 		grace   = flag.Duration("restart-time", ribd.DefaultRestartTime, "update plane: retain a lost named peer's routes this long awaiting its reconnect (negative sweeps immediately)")
@@ -224,58 +223,18 @@ func main() {
 		fatal(err)
 	}
 
-	// flatEngine folds a table into the single-shard serving form:
-	// the immutable line-card blob when the barrier admits one, else
-	// the mutable DAG itself. served and size describe what is
-	// actually walked, so the banner cannot claim a blob the
-	// serializer declined (λ > 24 falls back to the DAG).
-	flatEngine := func(t *fib.Table) (eng lookupd.Lookuper, size int, served string, err error) {
-		d, err := pdag.Build(t, *lambda)
-		if err != nil {
-			return nil, 0, "", err
-		}
-		if blob, err := d.Serialize(); err == nil {
-			return blob, blob.SizeBytes(), "v1", nil
-		}
-		return d, d.ModelBytes(), "dag (unserialized)", nil
+	// One engine kind whatever the shard count: a 1-shard engine serves
+	// the flat λ blob byte for byte. A barrier it cannot serve exits
+	// here with Build's error.
+	sharded, err := shardfib.Build(t, *lambda, *shards)
+	if err != nil {
+		fatal(err)
 	}
 
-	var (
-		sharded *shardfib.FIB
-		engine  lookupd.Lookuper
-		size    int
-		served  string
-	)
-	if *shards > 1 || *updates != "" {
-		// The live update plane needs the incrementally-updatable
-		// sharded engine; -updates therefore implies it even at one
-		// shard.
-		sharded, err = shardfib.Build(t, *lambda, *shards)
-		if err != nil {
-			fatal(err)
-		}
-		engine, size, served = sharded, sharded.SizeBytes(), "v1"
-		if !sharded.SnapshotsSerialized() {
-			// The engine fell back to folded-DAG snapshots (barrier
-			// beyond the serializable range); say so.
-			served = "dag (unserialized)"
-		} else if resident, _, _ := sharded.Arena(); resident > 0 {
-			// The size is the resident arena plus the shards' root
-			// windows: what lookups walk and what churn may grow by half.
-			served += ", one arena"
-		}
-	} else {
-		engine, size, served, err = flatEngine(t)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	// The IPv6 engine: always the sharded serving form (its serialized
-	// blobs ride the same pin/validate republish machinery), built
-	// from its own table file. eng6 stays a nil interface — not a
-	// typed nil — when v6 is unconfigured, so the server's nil check
-	// answers "no route" instead of dispatching into a nil engine.
+	// The IPv6 engine, built from its own table file. eng6 stays a nil
+	// interface — not a typed nil — when v6 is unconfigured, so the
+	// server's nil check answers "no route" instead of dispatching into
+	// a nil engine.
 	var (
 		sharded6 *shardfib.FIB6
 		n6       int
@@ -326,7 +285,7 @@ func main() {
 	if vreg != nil {
 		vrfOpt = vreg
 	}
-	s, err := lookupd.ListenOptions(*listen, engine, eng6, lookupd.Options{
+	s, err := lookupd.ListenOptions(*listen, sharded, eng6, lookupd.Options{
 		Workers:   *workers,
 		ReusePort: *reuse,
 		VRFs:      vrfOpt,
@@ -375,9 +334,7 @@ func main() {
 	reg := obs.NewRegistry()
 	s.RegisterMetrics(reg)
 	ins := &shardfib.Instruments{PublishSeconds: obs.NewHistogram(1e-9), Trace: obs.NewTraceRing(256)}
-	if sharded != nil {
-		sharded.SetInstruments(ins)
-	}
+	sharded.SetInstruments(ins)
 	if sharded6 != nil {
 		sharded6.SetInstruments(ins)
 	}
@@ -398,7 +355,7 @@ func main() {
 	}
 	st := &status{
 		srv: s, plane: plane, upd: upd, ins: ins, reg: reg,
-		prefixes: t.N(), size: size, shards: *shards, blob: served, sockets: sockets, sharded: sharded,
+		prefixes: t.N(), shards: *shards, sockets: sockets, sharded: sharded,
 		grace: grace.String(), idle: idle.String(),
 		vreg: vreg, vrfCounts: func() map[uint16][2]int {
 			vcountMu.Lock()
@@ -410,20 +367,9 @@ func main() {
 			return out
 		},
 	}
-	if sharded6 != nil {
-		// Report what the v6 engine actually serves: the barrier can
-		// force the folded-DAG fallback exactly as it does for v4, and
-		// the per-family blob sizes differ.
-		served6 := "v1"
-		if !sharded6.SnapshotsSerialized() {
-			served6 = "dag (unserialized)"
-		}
-		st.dual, st.prefixes6, st.size6, st.lambda6, st.blob6 =
-			true, n6, sharded6.SizeBytes(), *lambda6, served6
-	}
 	st.families = "v4"
 	if sharded6 != nil {
-		st.families = "dual-stack"
+		st.sharded6, st.prefixes6, st.lambda6, st.families = sharded6, n6, *lambda6, "dual-stack"
 	}
 	if *admin != "" {
 		if err := startAdmin(*admin, st); err != nil {
@@ -448,18 +394,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fibserve: reload: %v (keeping old FIB)\n", err)
 			continue
 		}
-		if sharded != nil {
-			if err := sharded.Reload(t); err != nil {
-				fmt.Fprintf(os.Stderr, "fibserve: reload: %v (keeping old FIB)\n", err)
-				continue
-			}
-		} else {
-			next, _, _, err := flatEngine(t)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fibserve: reload: %v (keeping old FIB)\n", err)
-				continue
-			}
-			s.Swap(next)
+		if err := sharded.Reload(t); err != nil {
+			fmt.Fprintf(os.Stderr, "fibserve: reload: %v (keeping old FIB)\n", err)
+			continue
 		}
 		fmt.Printf("fibserve: reloaded %d prefixes from %s\n", t.N(), path)
 		// Per-tenant reload: each tenant's files are re-read and swapped

@@ -129,7 +129,9 @@ func Compress(t *Table, lambda int) (*PrefixDAG, error) { return pdag.Build(t, l
 // `shards` (a power of two) prefix DAGs for concurrent serving:
 // lookups are lock-free and may be batched, while Set/Delete/Reload
 // rebuild and atomically republish only the shards they touch.
-// Lookups are bit-identical to the flat Compress DAG.
+// Lookups are bit-identical to the flat Compress DAG. The barrier must
+// lie in [log2 shards, 16] — the range the engine keeps a merged root
+// array for; any other is an error.
 func CompressSharded(t *Table, lambda, shards int) (*ShardedFIB, error) {
 	return shardfib.Build(t, lambda, shards)
 }

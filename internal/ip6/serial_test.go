@@ -96,13 +96,11 @@ func TestBlobAfterUpdates(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesFull is the dirty-subtree equivalence core:
-// double-buffered republish through the dirty path must stay
-// bit-identical (lookup-for-lookup) to the control FIB and to a fresh
-// full serialize of an independent DAG fed the same state. The
-// alternating buffers exercise the generation-relative
-// dirtiness (a spare is two publishes old) and the shared-geometry
-// full pass that lets the second buffer join the incremental path.
+// TestIncrementalMatchesFull is the republish equivalence core: a DAG
+// patched round after round and re-serialized into two alternating
+// buffers (a spare is two publishes old) must stay bit-identical
+// (lookup-for-lookup) to the control FIB and to a fresh serialize of
+// an independent DAG folded from the same state.
 func TestIncrementalMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	tab, err := SplitFIB(rng, 1500, []float64{0.6, 0.4})
@@ -117,8 +115,8 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		var bufs [2]*Blob
 		probes := probesFor(tab, rng, 1024)
 		for round := 0; round < 30; round++ {
-			// A mix of deep updates (one group) and short-prefix
-			// updates (covering a group run, including plen < gBits).
+			// A mix of deep updates and short-prefix updates, above
+			// and below every barrier of the sweep.
 			for i := 0; i < 12; i++ {
 				plen := 16 + rng.Intn(49)
 				if i%5 == 4 {
@@ -146,8 +144,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 				continue
 			}
 			// Every tenth round: full cross-check against an
-			// independent DAG (fresh geometry, fresh layout) and the
-			// lanes walker.
+			// independent DAG and the lanes walker.
 			fresh, err := FromTrie(d.Control(), lambda)
 			if err != nil {
 				t.Fatal(err)
@@ -238,14 +235,14 @@ func TestSerializeIntoZeroAllocs(t *testing.T) {
 // update sequence at an arbitrary barrier, serializes it, and pins
 // the blob's scalar walk and interleaved batch lanes bit-identical to
 // the trie reference — the ip6 twin of the pdag fuzzers; a second
-// label-flip phase then republishes into the same buffer through the
-// dirty path and rechecks.
+// label-flip phase then republishes into the same buffer and
+// rechecks.
 func FuzzLookup6(f *testing.F) {
 	f.Add([]byte{1, 48, 0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(16))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}, uint8(0))
 	f.Add([]byte{2, 128, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255}, uint8(24))
 	f.Fuzz(func(t *testing.T, ops []byte, lambdaRaw uint8) {
-		lambda := int(lambdaRaw) % (maxSerialLambda + 1)
+		lambda := int(lambdaRaw) % 25 // the serializable barriers, [0,24]
 		d, err := Build(New(), lambda)
 		if err != nil {
 			t.Fatal(err)
@@ -320,6 +317,6 @@ func FuzzLookup6(f *testing.F) {
 		if b, err = d.SerializeInto(b); err != nil {
 			t.Fatal(err)
 		}
-		check("dirty-republish")
+		check("republish")
 	})
 }

@@ -1,4 +1,4 @@
-package pdag
+package pdag_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 
 	"fibcomp/internal/fib"
 	"fibcomp/internal/gen"
+	"fibcomp/internal/pdag"
 )
 
 // TestBGPReplayEquivalence replays a realistic BGP-like feed (biased
@@ -22,7 +23,7 @@ func TestBGPReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Build(tb, 11)
+	d, err := pdag.Build(tb, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,17 +38,17 @@ func TestBGPReplayEquivalence(t *testing.T) {
 		// Probe inside the just-updated region, where staleness shows.
 		for k := 0; k < 20; k++ {
 			a := u.Addr | (probe.Uint32() &^ fib.Mask(u.Len))
-			if d.Lookup(a) != d.control.Lookup(a) {
+			if d.Lookup(a) != d.Control().Lookup(a) {
 				t.Fatalf("divergence after update %d (%+v) at addr %08x: dag=%d control=%d",
-					i, u, a, d.Lookup(a), d.control.Lookup(a))
+					i, u, a, d.Lookup(a), d.Control().Lookup(a))
 			}
 		}
 	}
-	checkInvariants(t, d)
-	verifyCanonical(t, d)
+	pdag.CheckInvariants(t, d)
+	pdag.VerifyCanonical(t, d)
 	for k := 0; k < 50000; k++ {
 		a := probe.Uint32()
-		if d.Lookup(a) != d.control.Lookup(a) {
+		if d.Lookup(a) != d.Control().Lookup(a) {
 			t.Fatalf("final divergence at %08x", a)
 		}
 	}

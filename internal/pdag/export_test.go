@@ -16,3 +16,11 @@ func SetRecyclePoison(w uint32) (restore func()) {
 	recyclePoison = w
 	return func() { recyclePoison = old }
 }
+
+// The white-box structural checks, for the tests that must live in
+// package pdag_test because their inputs come from internal/gen, which
+// imports ip6, which imports this package.
+var (
+	CheckInvariants = checkInvariants
+	VerifyCanonical = verifyCanonical
+)

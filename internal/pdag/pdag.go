@@ -51,44 +51,78 @@ type Node struct {
 	kind        byte
 }
 
-// DAG is a compressed FIB: a prefix DAG plus its control FIB.
-type DAG struct {
+// Region is the width-agnostic half of a prefix DAG: the plain mirror
+// above the barrier, the folded region below it — the sub-trie index
+// S, the leaf table lp and their reference counts (§4.1) — and its
+// serialized form (§5.3). Nothing in it reads an address. What keeps a
+// region in step with a control trie is a descent that knows the key
+// width: DAG for 32 bits, ip6.DAG for 128, both over the exported
+// operations Up, Leaf, Cons, Split, Drop and DropUp.
+type Region struct {
 	// Width is the depth of the address space in bits: 32 for IPv4
-	// FIBs, lg n for the string-compression model of §4.2.
+	// FIBs, 128 for IPv6, lg n for the string-compression model of §4.2.
 	Width int
 	// Lambda is the leaf-push barrier λ ∈ [0, Width].
 	Lambda int
 
-	control *trie.Trie
-	root    *Node
-	sub     map[[2]uint64]*Node // the sub-trie index S
-	leaves  map[uint32]*Node    // the leaf table lp
-	nextID  uint64
+	root   *Node
+	sub    map[[2]uint64]*Node // the sub-trie index S
+	leaves map[uint32]*Node    // the leaf table lp
+	nextID uint64
 
-	// space is non-nil for a DAG folded into a shared hash-cons
-	// universe (FromTrieShared): sub and leaves then alias the space's
-	// maps, interior ids draw from the space-wide counter, and
-	// serialization epochs come from the space so stamps written
-	// through one member DAG can never collide with another's.
+	// space is non-nil for a region folded into a shared hash-cons
+	// universe: sub and leaves then alias the space's maps, interior
+	// ids draw from the space-wide counter, and serialization epochs
+	// come from the space so stamps written through one member can
+	// never collide with another's.
 	space *Space
 
-	// Serialize scratch, reused across republishes (see SerializeInto
-	// and SerializeV2Into, which share it — the epoch bump isolates
-	// the two formats' stamps): the current stamping epoch, the folded
-	// interiors in emission order, the iterative DFS stack, plus the
-	// v2 serializer's word watermark and stride-expansion buffer.
-	serialEpoch     uint64
-	serialList      []*Node
-	serialStack     []*Node
+	// Serialize scratch, reused across republishes (SerializeInto and
+	// the DAG's SerializeV2Into share it — the epoch bump isolates the
+	// two formats' stamps): the current stamping epoch, the folded
+	// interiors in emission order and the iterative DFS stack.
+	serialEpoch uint64
+	serialList  []*Node
+	serialStack []*Node
+
+	// freeNode chains released nodes (linked via Left) for later
+	// acquires, so that a steady-state update allocates nothing.
+	freeNode *Node
+}
+
+// NewRegion returns an empty region of the given key width and
+// barrier, folding into sp when that is non-nil (the caller then holds
+// the space lock) and into maps of its own otherwise.
+func NewRegion(sp *Space, width, lambda int) Region {
+	r := Region{Width: width, Lambda: lambda, space: sp}
+	if sp != nil {
+		r.sub, r.leaves = sp.sub, sp.leaves
+	} else {
+		r.sub, r.leaves = make(map[[2]uint64]*Node), make(map[uint32]*Node)
+	}
+	return r
+}
+
+// Root is the node at depth 0: an up node, or when λ = 0 a folded one.
+func (d *Region) Root() *Node { return d.root }
+
+// SetRoot installs the node at depth 0.
+func (d *Region) SetRoot(n *Node) { d.root = n }
+
+// DAG is a compressed IPv4 FIB: a region, its control FIB and the
+// 32-bit descent (§4.3) between them.
+type DAG struct {
+	Region
+
+	control *trie.Trie
+
+	// The v2 serializer's word watermark and stride-expansion buffer.
 	serialWatermark uint32
 	serialExps      []strideExp
 
-	// Update-path recyclers: released DAG nodes chain through freeNode
-	// (linked via Left) and feed later acquires; scratch is the arena
-	// the temporary leaf-pushed control copies are drawn from. Together
-	// they make a steady-state Set/Delete allocation-free.
-	freeNode *Node
-	scratch  trie.Arena
+	// scratch is the arena the temporary leaf-pushed control copies
+	// are drawn from.
+	scratch trie.Arena
 
 	symOffset uint32 // string mode: symbol s stored as label s+1
 }
@@ -103,16 +137,19 @@ func Build(t *fib.Table, lambda int) (*DAG, error) {
 // necessarily proper or leaf-pushed, per §4.1). The trie is cloned
 // into the DAG's control FIB; the caller keeps ownership of t.
 func FromTrie(t *trie.Trie, lambda int) (*DAG, error) {
+	return FromTrieShared(nil, t, lambda)
+}
+
+// FromTrieShared is FromTrie folding into a shared space: the DAG's
+// sub-trie index and leaf table are the space's own maps, so identical
+// subtrees across member DAGs coalesce, and interior ids draw from the
+// space-wide counter so cons keys never collide across members. The
+// caller must hold the space lock. A nil space folds privately.
+func FromTrieShared(sp *Space, t *trie.Trie, lambda int) (*DAG, error) {
 	if lambda < 0 || lambda > fib.W {
 		return nil, fmt.Errorf("pdag: barrier λ=%d out of range [0,%d]", lambda, fib.W)
 	}
-	d := &DAG{
-		Width:   fib.W,
-		Lambda:  lambda,
-		control: t.Clone(),
-		sub:     make(map[[2]uint64]*Node),
-		leaves:  make(map[uint32]*Node),
-	}
+	d := &DAG{Region: NewRegion(sp, fib.W, lambda), control: t.Clone()}
 	d.root = d.buildUp(d.control.Root, 0)
 	return d, nil
 }
@@ -126,8 +163,8 @@ func (d *DAG) buildUp(cn *trie.Node, depth int) *Node {
 	if depth == d.Lambda {
 		return d.foldPushed(cn, fib.NoLabel)
 	}
-	n := d.newNode()
-	n.kind, n.Label = kindUp, cn.Label
+	n := d.Up()
+	n.Label = cn.Label
 	n.Left = d.buildUp(cn.Left, depth+1)
 	n.Right = d.buildUp(cn.Right, depth+1)
 	return n
@@ -142,11 +179,23 @@ func (d *DAG) foldPushed(cn *trie.Node, def uint32) *Node {
 	return res
 }
 
+// fold compresses a proper leaf-labeled trie bottom-up into the DAG
+// (the compress routine of §4.1) and returns the canonical shared
+// node, carrying one reference for the caller.
+func (d *DAG) fold(tn *trie.Node) *Node {
+	if tn.IsLeaf() {
+		return d.Leaf(tn.Label)
+	}
+	l := d.fold(tn.Left)
+	r := d.fold(tn.Right)
+	return d.Cons(l, r)
+}
+
 // freeChain is the chain dead nodes are recycled through: the space's
-// for a member DAG — a shared node dies in whichever member drops the
-// last reference, so per-DAG chains would drain in one member and pile
-// up in another — else the DAG's own.
-func (d *DAG) freeChain() **Node {
+// for a member — a shared node dies in whichever member drops the
+// last reference, so per-region chains would drain in one member and
+// pile up in another — else the region's own.
+func (d *Region) freeChain() **Node {
 	if d.space != nil {
 		return &d.space.freeNode
 	}
@@ -154,7 +203,7 @@ func (d *DAG) freeChain() **Node {
 }
 
 // newNode pops a recycled node or allocates one.
-func (d *DAG) newNode() *Node {
+func (d *Region) newNode() *Node {
 	free := d.freeChain()
 	n := *free
 	if n == nil {
@@ -167,27 +216,23 @@ func (d *DAG) newNode() *Node {
 
 // recycleNode pushes a dead node onto the free chain. The stale
 // serialIdx stamp is harmless: every SerializeInto bumps the epoch.
-func (d *DAG) recycleNode(n *Node) {
+func (d *Region) recycleNode(n *Node) {
 	free := d.freeChain()
 	*n = Node{Left: *free}
 	*free = n
 }
 
-// fold compresses a proper leaf-labeled trie bottom-up into the DAG
-// (the compress routine of §4.1) and returns the canonical shared
-// node, carrying one reference for the caller.
-func (d *DAG) fold(tn *trie.Node) *Node {
-	if tn.IsLeaf() {
-		return d.acquireLeaf(tn.Label)
-	}
-	l := d.fold(tn.Left)
-	r := d.fold(tn.Right)
-	return d.acquireNode(l, r)
+// Up returns a fresh unlabeled plain node for the mirror above the
+// barrier; the descent fills in its label and children.
+func (d *Region) Up() *Node {
+	n := d.newNode()
+	n.kind = kindUp
+	return n
 }
 
-// acquireLeaf returns the coalesced leaf for a label (lp(s)),
-// creating it on first use, and takes one reference.
-func (d *DAG) acquireLeaf(label uint32) *Node {
+// Leaf returns the coalesced leaf for a label (lp(s)), creating it on
+// first use, and takes one reference.
+func (d *Region) Leaf(label uint32) *Node {
 	if n, ok := d.leaves[label]; ok {
 		n.ref++
 		return n
@@ -198,21 +243,21 @@ func (d *DAG) acquireLeaf(label uint32) *Node {
 	return n
 }
 
-// acquireNode returns the canonical interior node with children (l, r)
-// — put(i, j, v) of §4.1. It consumes one reference of each child and
+// Cons returns the canonical interior node with children (l, r) —
+// put(i, j, v) of §4.1. It consumes one reference of each child and
 // returns a node carrying one reference for the caller. A node whose
 // children are the same coalesced leaf normalizes to that leaf,
 // maintaining the leaf-pushed normal form under updates.
-func (d *DAG) acquireNode(l, r *Node) *Node {
+func (d *Region) Cons(l, r *Node) *Node {
 	if l == r && l.kind == kindLeaf {
-		d.release(r) // two references in, one (on the leaf itself) out
+		d.Drop(r) // two references in, one (on the leaf itself) out
 		return l
 	}
 	key := [2]uint64{l.id, r.id}
 	if n, ok := d.sub[key]; ok {
 		n.ref++
-		d.release(l)
-		d.release(r)
+		d.Drop(l)
+		d.Drop(r)
 		return n
 	}
 	n := d.newNode()
@@ -221,10 +266,27 @@ func (d *DAG) acquireNode(l, r *Node) *Node {
 	return n
 }
 
+// Split decompresses one level of the folded region for a descent
+// passing through v: it returns v's children, each holding a reference
+// for the caller while it re-parents them. A coalesced leaf that
+// bottomed the region out early expands into two references to itself
+// — its label is the in-force label of the whole subtree, right for
+// the untouched sibling half. v's own reference stays the caller's.
+func (d *Region) Split(v *Node) (l, r *Node) {
+	if v.kind == kindLeaf {
+		return d.Leaf(v.Label), d.Leaf(v.Label)
+	}
+	v.Left.ref++
+	v.Right.ref++
+	return v.Left, v.Right
+}
+
 // allocID draws the next interior-node id: from the shared space's
-// counter when the DAG is a member of one (ids key the shared cons
-// index, so per-DAG counters would collide), else from the DAG's own.
-func (d *DAG) allocID() uint64 {
+// counter when the region is a member of one (ids key the shared cons
+// index, so per-region counters would collide), else from its own.
+// Ids are never reused: a space's idMark counts on them being
+// monotonic to know what the next emission will append.
+func (d *Region) allocID() uint64 {
 	if d.space != nil {
 		d.space.nextID++
 		return d.space.nextID
@@ -234,10 +296,10 @@ func (d *DAG) allocID() uint64 {
 }
 
 // bumpEpoch starts a fresh private-serialization stamping epoch. For a
-// space-member DAG the counter is space-wide: a per-DAG counter could
+// space member the counter is space-wide: a per-region counter could
 // collide with a stamp another member wrote on a shared node, making a
 // stale index look current.
-func (d *DAG) bumpEpoch() {
+func (d *Region) bumpEpoch() {
 	if d.space != nil {
 		d.space.epoch++
 		d.serialEpoch = d.space.epoch
@@ -246,9 +308,10 @@ func (d *DAG) bumpEpoch() {
 	d.serialEpoch++
 }
 
-// release drops one reference — get(i, j) of §4.1 — deleting the node
-// and dereferencing its children when the count reaches zero.
-func (d *DAG) release(n *Node) {
+// Drop releases one reference to a folded node — get(i, j) of §4.1 —
+// deleting the node and dereferencing its children when the count
+// reaches zero. Nil and up nodes are ignored.
+func (d *Region) Drop(n *Node) {
 	if n == nil || n.kind == kindUp {
 		return
 	}
@@ -267,8 +330,36 @@ func (d *DAG) release(n *Node) {
 	}
 	l, r := n.Left, n.Right
 	d.recycleNode(n)
-	d.release(l)
-	d.release(r)
+	d.Drop(l)
+	d.Drop(r)
+}
+
+// DropUp releases an abandoned subtree of the plain mirror,
+// dereferencing every folded sub-trie hanging below it and recycling
+// the plain nodes.
+func (d *Region) DropUp(n *Node) {
+	if n == nil {
+		return
+	}
+	if n.kind != kindUp {
+		d.Drop(n)
+		return
+	}
+	l, r := n.Left, n.Right
+	d.recycleNode(n)
+	d.DropUp(l)
+	d.DropUp(r)
+}
+
+// Release drops every folded reference the plain region holds,
+// returning its share of the space's nodes — the teardown a shared
+// Reload or tenant removal needs so replaced tables do not pin their
+// subtrees in the space forever. The region is unusable afterwards.
+// Called under the space lock; harmless (and unnecessary) for a
+// private region.
+func (d *Region) Release() {
+	d.DropUp(d.root)
+	d.root = nil
 }
 
 // Lookup performs longest prefix match: follow the path traced by the
@@ -322,13 +413,13 @@ func (d *DAG) LookupSteps(addr uint32) (label uint32, steps int) {
 func (d *DAG) Control() *trie.Trie { return d.control }
 
 // FoldedInterior reports the number of shared interior nodes (|S|).
-func (d *DAG) FoldedInterior() int { return len(d.sub) }
+func (d *Region) FoldedInterior() int { return len(d.sub) }
 
 // FoldedLeaves reports the number of coalesced leaves (|lp|).
-func (d *DAG) FoldedLeaves() int { return len(d.leaves) }
+func (d *Region) FoldedLeaves() int { return len(d.leaves) }
 
 // UpNodes reports the number of plain trie nodes above the barrier.
-func (d *DAG) UpNodes() int {
+func (d *Region) UpNodes() int {
 	var count func(n *Node) int
 	count = func(n *Node) int {
 		if n == nil || n.kind != kindUp {
@@ -340,6 +431,6 @@ func (d *DAG) UpNodes() int {
 }
 
 // Nodes reports the total node count of the DAG.
-func (d *DAG) Nodes() int {
+func (d *Region) Nodes() int {
 	return d.UpNodes() + len(d.sub) + len(d.leaves)
 }

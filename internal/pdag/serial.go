@@ -35,6 +35,14 @@ const (
 	maxBlobIdx   = 0x007FFFFF
 )
 
+// The payload encoding under its exported names, for the walkers of
+// another key width (ip6.Blob walks these words with 128-bit keys).
+const (
+	BlobNone     = blobNone
+	BlobLeafFlag = blobLeafFlag
+	WordLeafFlag = wordLeafFlag
+)
+
 // maxSerialLambda bounds the root array to 64 MB; larger barriers
 // make no sense for a serialized FIB (and the paper uses λ=11).
 const maxSerialLambda = 24
@@ -44,7 +52,7 @@ const maxSerialLambda = 24
 // a DAG's read-only Lookup — concurrent Serialize calls on one DAG
 // are not safe; serialize under the same exclusion that guards
 // Set/Delete (shardfib holds the shard writer mutex).
-func (d *DAG) Serialize() (*Blob, error) {
+func (d *Region) Serialize() (*Blob, error) {
 	return d.SerializeInto(nil)
 }
 
@@ -64,7 +72,7 @@ func (d *DAG) Serialize() (*Blob, error) {
 // itself or with Set/Delete on the same DAG (take the writer's
 // exclusion). On error b's contents are unspecified and must not be
 // published.
-func (d *DAG) SerializeInto(b *Blob) (*Blob, error) {
+func (d *Region) SerializeInto(b *Blob) (*Blob, error) {
 	lambda := d.Lambda
 	if lambda > d.Width {
 		lambda = d.Width
@@ -113,7 +121,7 @@ func (d *DAG) SerializeInto(b *Blob) (*Blob, error) {
 // cover their whole slot range with one payload: the index assign
 // gives their stride/interior node — both serialized formats share
 // the root-array encoding and differ only in what assign emits.
-func (d *DAG) fillRoot(root []uint32, lambda int, n *Node, v uint32, depth int, def uint32, assign func(*Node) (uint32, error)) error {
+func (d *Region) fillRoot(root []uint32, lambda int, n *Node, v uint32, depth int, def uint32, assign func(*Node) (uint32, error)) error {
 	lo := int(v) << uint(lambda-depth)
 	hi := lo + 1<<uint(lambda-depth)
 	if n == nil {
@@ -152,7 +160,7 @@ func (d *DAG) fillRoot(root []uint32, lambda int, n *Node, v uint32, depth int, 
 // the nodes in index order. Already-stamped nodes (shared subtrees
 // reached a second time) return their index immediately, preserving
 // the hash-consed sharing in the blob.
-func (d *DAG) assign(root *Node) (uint32, error) {
+func (d *Region) assign(root *Node) (uint32, error) {
 	epoch := d.serialEpoch
 	if root.serialEpoch == epoch {
 		return root.serialIdx, nil
@@ -197,7 +205,7 @@ func (d *DAG) assign(root *Node) (uint32, error) {
 }
 
 // stamp assigns n the next dense index under epoch.
-func (d *DAG) stamp(n *Node, epoch uint64) error {
+func (d *Region) stamp(n *Node, epoch uint64) error {
 	if len(d.serialList) > maxBlobIdx {
 		return fmt.Errorf("pdag: too many folded nodes to serialize (%d)", len(d.serialList))
 	}

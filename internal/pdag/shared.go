@@ -6,15 +6,16 @@ import (
 	"sync"
 
 	"fibcomp/internal/fib"
-	"fibcomp/internal/trie"
 )
 
 // Space is a shared hash-cons universe: the sub-trie index S and the
 // leaf table lp of §4.1 lifted out of one DAG and spanned across many.
-// Every DAG built with FromTrieShared folds into the same two maps, so
-// an isomorphic labeled sub-trie appearing in any number of member
-// DAGs — the shards of one engine, or every tenant table of a registry
-// — is stored exactly once.
+// Every region made with a space (FromTrieShared, ip6.FromTrieShared)
+// folds into the same two maps, so an isomorphic labeled sub-trie
+// appearing in any number of member DAGs — the shards of one engine,
+// or every tenant table of a registry — is stored exactly once. A
+// space never reads an address: its members are all of one key width,
+// but that width is theirs to know.
 //
 // The space also owns the serialized form of that sharing: an
 // append-only arena of node words (words) that every member DAG's
@@ -201,55 +202,7 @@ var (
 	recyclePoison uint32
 )
 
-// FromTrieShared is FromTrie folding into a shared space: the DAG's
-// sub-trie index and leaf table are the space's own maps, so identical
-// subtrees across member DAGs coalesce, and interior ids draw from the
-// space-wide counter so cons keys never collide across members. The
-// caller must hold the space lock.
-func FromTrieShared(sp *Space, t *trie.Trie, lambda int) (*DAG, error) {
-	if lambda < 0 || lambda > fib.W {
-		return nil, fmt.Errorf("pdag: barrier λ=%d out of range [0,%d]", lambda, fib.W)
-	}
-	d := &DAG{
-		Width:   fib.W,
-		Lambda:  lambda,
-		control: t.Clone(),
-		sub:     sp.sub,
-		leaves:  sp.leaves,
-		space:   sp,
-	}
-	d.root = d.buildUp(d.control.Root, 0)
-	return d, nil
-}
-
-// Release drops every folded reference the DAG's plain region holds,
-// returning its share of the space's nodes — the teardown a shared
-// Reload or tenant removal needs so replaced tables do not pin their
-// subtrees in the space forever. The DAG is unusable afterwards.
-// Called under the space lock; harmless (and unnecessary) for a
-// private DAG.
-func (d *DAG) Release() {
-	d.releaseTree(d.root)
-	d.root = nil
-}
-
-// releaseTree walks the plain region recycling up nodes and dropping
-// one reference per folded attachment point.
-func (d *DAG) releaseTree(n *Node) {
-	if n == nil {
-		return
-	}
-	if n.kind != kindUp {
-		d.release(n)
-		return
-	}
-	l, r := n.Left, n.Right
-	d.recycleNode(n)
-	d.releaseTree(l)
-	d.releaseTree(r)
-}
-
-// SerializeShared freezes the DAG's shard window into a blob whose
+// SerializeShared freezes the region's shard window into a blob whose
 // Nodes alias the space's arena. shardIdx/shardBits name the window:
 // of the full 2^λ root array only entries
 // [shardIdx<<(λ-k), (shardIdx+1)<<(λ-k)) are live in a sharded engine,
@@ -264,7 +217,7 @@ func (d *DAG) releaseTree(n *Node) {
 // The caller must hold the space lock and must not run concurrently
 // with Set/Delete on any member DAG. On error b must not be published;
 // an index-exhaustion error latches (NeedsCompact) until Compact.
-func (d *DAG) SerializeShared(b *Blob, shardIdx, shardBits int) (*Blob, error) {
+func (d *Region) SerializeShared(b *Blob, shardIdx, shardBits int) (*Blob, error) {
 	sp := d.space
 	if sp == nil {
 		return nil, fmt.Errorf("pdag: SerializeShared on a DAG without a shared space")
@@ -335,7 +288,7 @@ var errArenaFull = errors.New("pdag: shared arena out of node indices; compact t
 // assignShared is the space-arena twin of assign: folded subtrees take
 // dense arena indices, stamped persistently under the generation epoch
 // so every later emission — by any member DAG — reuses them.
-func (d *DAG) assignShared(root *Node) (uint32, error) {
+func (d *Region) assignShared(root *Node) (uint32, error) {
 	sp := d.space
 	epoch := sp.stampEpoch()
 	if root.serialEpoch == epoch {

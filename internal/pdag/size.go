@@ -16,8 +16,8 @@ type Stats struct {
 	ModelBits      int
 }
 
-// Stats computes the model-size statistics of the current DAG.
-func (d *DAG) Stats() Stats {
+// Stats computes the model-size statistics of the current region.
+func (d *Region) Stats() Stats {
 	s := Stats{
 		Lambda:         d.Lambda,
 		UpNodes:        d.UpNodes(),
@@ -57,7 +57,7 @@ func (d *DAG) Stats() Stats {
 }
 
 // ModelBytes reports the §4.2 model size in bytes.
-func (d *DAG) ModelBytes() int {
+func (d *Region) ModelBytes() int {
 	return (d.Stats().ModelBits + 7) / 8
 }
 

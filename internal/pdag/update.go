@@ -60,12 +60,11 @@ func (d *DAG) syncUp(addr uint32, plen int) {
 
 func (d *DAG) syncUpRec(cn *trie.Node, un *Node, addr uint32, q, plen int) *Node {
 	if cn == nil {
-		d.dropUp(un)
+		d.DropUp(un)
 		return nil
 	}
 	if un == nil {
-		un = d.newNode()
-		un.kind = kindUp
+		un = d.Up()
 	}
 	un.Label = cn.Label
 	if q == plen {
@@ -77,22 +76,6 @@ func (d *DAG) syncUpRec(cn *trie.Node, un *Node, addr uint32, q, plen int) *Node
 		un.Right = d.syncUpRec(cn.Right, un.Right, addr, q+1, plen)
 	}
 	return un
-}
-
-// dropUp releases an abandoned up subtree, dereferencing every folded
-// sub-trie hanging below it and recycling the plain nodes.
-func (d *DAG) dropUp(n *Node) {
-	if n == nil {
-		return
-	}
-	if n.kind != kindUp {
-		d.release(n)
-		return
-	}
-	l, r := n.Left, n.Right
-	d.recycleNode(n)
-	d.dropUp(l)
-	d.dropUp(r)
 }
 
 // rebuildBelow handles an update at depth plen ≥ λ: walk the plain
@@ -116,14 +99,12 @@ func (d *DAG) rebuildBelow(addr uint32, plen int) {
 		}
 		if cc == nil {
 			// The control path was pruned by a delete: drop the mirror.
-			d.dropUp(*uc)
+			d.DropUp(*uc)
 			*uc = nil
 			return
 		}
 		if *uc == nil {
-			nn := d.newNode()
-			nn.kind = kindUp
-			*uc = nn
+			*uc = d.Up()
 		}
 		cn, un = cc, *uc
 		un.Label = cn.Label
@@ -137,10 +118,8 @@ func (d *DAG) rebuildBelow(addr uint32, plen int) {
 		cc, uc = cn.Right, &un.Right
 	}
 	if cc == nil {
-		if *uc != nil {
-			d.release(*uc)
-			*uc = nil
-		}
+		d.Drop(*uc)
+		*uc = nil
 		return
 	}
 	*uc = d.foldFresh(cc, addr, plen, *uc)
@@ -153,9 +132,7 @@ func (d *DAG) rebuildBelow(addr uint32, plen int) {
 func (d *DAG) foldFresh(cn *trie.Node, addr uint32, plen int, old *Node) *Node {
 	if old == nil || plen == d.Lambda {
 		fresh := d.foldPushed(cn, fib.NoLabel)
-		if old != nil {
-			d.release(old)
-		}
+		d.Drop(old)
 		return fresh
 	}
 	return d.patch(old, cn, addr, d.Lambda, plen, fib.NoLabel)
@@ -179,27 +156,17 @@ func (d *DAG) patch(v *Node, cn *trie.Node, addr uint32, q, plen int, def uint32
 	}
 	if q == plen {
 		fresh := d.foldPushed(cn, def)
-		d.release(v)
+		d.Drop(v)
 		return fresh
 	}
+	// A coalesced leaf v expands into two leaves of its label, which is
+	// right for the untouched sibling half; but that label must NOT
+	// become the default of the on-path descent — it may incorporate a
+	// deeper label the control mutation just removed, and def has to
+	// keep tracking the *mutated* control path (labels still present
+	// are re-collected from cn.Label level by level).
+	vl, vr := d.Split(v)
 	bit := fib.Bit(addr, q)
-	var vl, vr *Node
-	if v.kind == kindLeaf {
-		// The folded region bottomed out early: expand the coalesced
-		// leaf one level. Its label is the in-force label of the whole
-		// region, so it is correct for the untouched sibling half; but
-		// it must NOT become the new default for the on-path descent —
-		// it may incorporate a deeper label that the control mutation
-		// just removed, and def has to keep tracking the *mutated*
-		// control path (labels still present are re-collected from
-		// cn.Label level by level).
-		vl = d.acquireLeaf(v.Label)
-		vr = d.acquireLeaf(v.Label)
-	} else {
-		vl, vr = v.Left, v.Right
-		vl.ref++ // hold while re-parenting
-		vr.ref++
-	}
 	var cc *trie.Node
 	if cn != nil {
 		if bit == 0 {
@@ -213,7 +180,7 @@ func (d *DAG) patch(v *Node, cn *trie.Node, addr uint32, q, plen int, def uint32
 	} else {
 		vr = d.patch(vr, cc, addr, q+1, plen, def)
 	}
-	res := d.acquireNode(vl, vr)
-	d.release(v)
+	res := d.Cons(vl, vr)
+	d.Drop(v)
 	return res
 }

@@ -163,94 +163,107 @@ func TestApplyBatchRejectsInvalid(t *testing.T) {
 }
 
 // TestApplyBatchZeroAllocs extends the steady-churn zero-allocation
-// contract to the batched path: once the double buffers and the
-// grouping scratch are warm, a recycled batch applies and republishes
-// without heap allocations — with the publish-duration histogram and
-// trace ring installed, so the contract covers the fully instrumented
-// pipeline, not a telemetry-stripped one.
+// contract to the batched path, for both families: once the double
+// buffers and the grouping scratch are warm, a recycled batch applies
+// and republishes without heap allocations — with the publish-duration
+// histogram and trace ring installed, so the contract covers the fully
+// instrumented pipeline, not a telemetry-stripped one.
 func TestApplyBatchZeroAllocs(t *testing.T) {
-	tab := testTable(t, 4000, 22)
-	f, err := Build(tab, 11, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins := &Instruments{PublishSeconds: obs.NewHistogram(1e-9), Trace: obs.NewTraceRing(64)}
-	f.SetInstruments(ins)
-	us := gen.RandomUpdates(rand.New(rand.NewSource(23)), tab, 512)
-	// Two variants of the batch with different labels per prefix
-	// (withdraws become announces in the twin), alternated so
-	// every op is a genuine mutation — a recycled identical batch
-	// would be squashed by the no-op detector and publish nothing.
-	opsA := opsFromUpdates(us)
-	opsB := make([]Op, len(opsA))
-	for i, op := range opsA {
-		op.Label = op.Label%254 + 1
-		opsB[i] = op
-	}
-	// Warm every shard's double buffer, the serializer high-water
-	// marks and the grouping scratch.
-	for i := 0; i < 4; i++ {
-		if _, err := f.ApplyBatch(opsA); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.ApplyBatch(opsB); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 0
-	_, _, before := f.Arena()
-	allocs := testing.AllocsPerRun(50, func() {
-		ops := opsA
-		if i&1 == 1 {
-			ops = opsB
-		}
-		i++
-		if m, err := f.ApplyBatch(ops); err != nil || m == 0 {
-			t.Fatalf("mutated %d, err %v", m, err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady batched republish allocated %.2f times per batch, want 0", allocs)
-	}
-	// The contract includes the batches that start a new arena
-	// generation: the measured window must have crossed some, each
-	// into the array recycled from the generation before last.
-	if _, _, after := f.Arena(); after < before+3 {
-		t.Fatalf("%d compactions in the measured window, want ≥ 3", after-before)
-	}
-	// The instrumentation recorded the batches it rode along with:
-	// one histogram sample and one trace event per ApplyBatch, each
-	// event carrying the batch's shape.
-	if ins.PublishSeconds.Count() == 0 {
-		t.Fatal("publish histogram recorded nothing")
-	}
-	evs := ins.Trace.Snapshot()
-	if len(evs) == 0 {
-		t.Fatal("trace ring recorded nothing")
-	}
-	ev := evs[0]
-	if ev.KindS != "apply_batch" || ev.Family != 4 {
-		t.Fatalf("trace event misdescribes the batch: %+v", ev)
-	}
-	if ev.Ops != 512 || ev.Mutated == 0 || ev.Dirty == 0 || ev.Dirty > ev.Shards || ev.Bytes == 0 {
-		t.Fatalf("trace event shape wrong: %+v", ev)
+	tab, tab6 := testTable(t, 4000, 22), testTable6(t, 2000, 24)
+	rng := rand.New(rand.NewSource(23))
+	for _, fam := range []struct {
+		name   string
+		family uint8
+		us     []gen.Update
+		build  func(us []gen.Update) churned
+	}{
+		{"v4", 4, gen.RandomUpdates(rng, tab, 512), func(us []gen.Update) churned { return newChurned4(t, tab, 11, 16, us) }},
+		{"v6", 6, gen.BGPUpdates6(rng, tab6, 512), func(us []gen.Update) churned { return newChurned6(t, tab6, 16, 16, us) }},
+	} {
+		t.Run(fam.name, func(t *testing.T) {
+			// Two variants of the batch with different labels per prefix
+			// (withdraws become announces in the twin), alternated so
+			// every op is a genuine mutation — a recycled identical batch
+			// would be squashed by the no-op detector and publish nothing.
+			usA := withdrawn(fam.us)
+			usB := append([]gen.Update(nil), usA...)
+			for i := range usB {
+				usB[i].NextHop = usB[i].NextHop%254 + 1
+			}
+			c := fam.build(usA)
+			f := c.shell()
+			ins := &Instruments{PublishSeconds: obs.NewHistogram(1e-9), Trace: obs.NewTraceRing(64)}
+			f.SetInstruments(ins)
+			// Warm every shard's double buffer, the serializer high-water
+			// marks and the grouping scratch.
+			for i := 0; i < 4; i++ {
+				for _, us := range [][]gen.Update{usA, usB} {
+					if _, err := c.apply(us); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			i := 0
+			_, _, before := f.Arena()
+			allocs := testing.AllocsPerRun(50, func() {
+				us := usA
+				if i&1 == 1 {
+					us = usB
+				}
+				i++
+				if m, err := c.apply(us); err != nil || m == 0 {
+					t.Fatalf("mutated %d, err %v", m, err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady batched republish allocated %.2f times per batch, want 0", allocs)
+			}
+			// The contract includes the batches that start a new arena
+			// generation: the measured window must have crossed some, each
+			// into the array recycled from the generation before last.
+			if _, _, after := f.Arena(); after < before+3 {
+				t.Fatalf("%d compactions in the measured window, want ≥ 3", after-before)
+			}
+			// The instrumentation recorded the batches it rode along with:
+			// one histogram sample and one trace event per ApplyBatch, each
+			// event carrying the batch's shape.
+			if ins.PublishSeconds.Count() == 0 {
+				t.Fatal("publish histogram recorded nothing")
+			}
+			evs := ins.Trace.Snapshot()
+			if len(evs) == 0 {
+				t.Fatal("trace ring recorded nothing")
+			}
+			ev := evs[0]
+			if ev.KindS != "apply_batch" || ev.Family != fam.family {
+				t.Fatalf("trace event misdescribes the batch: %+v", ev)
+			}
+			if ev.Ops != 512 || ev.Mutated == 0 || ev.Dirty == 0 || ev.Dirty > ev.Shards || ev.Bytes == 0 {
+				t.Fatalf("trace event shape wrong: %+v", ev)
+			}
+		})
 	}
 }
 
 // TestCompactionIsObservable: a batch that starts a new arena
 // generation republishes every shard, and says so — its trace event
 // carries Dirty == Shards == 2^k although the ops touched one shard —
-// and the arena gauges on /metrics track the engine's own accounting.
+// and the arena gauges on /metrics track each engine's own accounting,
+// under its family's label.
 func TestCompactionIsObservable(t *testing.T) {
 	tab := testTable(t, 3000, 41)
 	f, err := Build(tab, 11, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f6, err := Build6(testTable6(t, 500, 42), 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ins := &Instruments{PublishSeconds: obs.NewHistogram(1e-9), Trace: obs.NewTraceRing(4)}
 	f.SetInstruments(ins)
 	reg := obs.NewRegistry()
-	RegisterMetrics(reg, ins, f, nil)
+	RegisterMetrics(reg, ins, f, f6)
 
 	// Flap 64 host routes of one shard until the arena compacts.
 	ops := make([]Op, 64)
@@ -282,12 +295,16 @@ func TestCompactionIsObservable(t *testing.T) {
 	if n != 1 || resident != live || resident != f.SizeBytes() {
 		t.Fatalf("after the compaction: resident %d live %d SizeBytes %d compactions %d", resident, live, f.SizeBytes(), n)
 	}
+	resident6, live6, _ := f6.Arena()
 	var sb strings.Builder
 	reg.WriteProm(&sb)
 	for _, want := range []string{
-		fmt.Sprintf("shardfib_arena_resident_bytes %d\n", resident),
-		fmt.Sprintf("shardfib_arena_live_bytes %d\n", live),
-		"shardfib_compactions_total 1\n",
+		fmt.Sprintf("shardfib_arena_resident_bytes{family=\"6\"} %d\n", resident6),
+		fmt.Sprintf("shardfib_arena_live_bytes{family=\"6\"} %d\n", live6),
+		"shardfib_compactions_total{family=\"6\"} 0\n",
+		fmt.Sprintf("shardfib_arena_resident_bytes{family=\"4\"} %d\n", resident),
+		fmt.Sprintf("shardfib_arena_live_bytes{family=\"4\"} %d\n", live),
+		"shardfib_compactions_total{family=\"4\"} 1\n",
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("/metrics lacks %q", want)

@@ -1,6 +1,10 @@
 package shardfib
 
-import "fibcomp/internal/obs"
+import (
+	"fmt"
+
+	"fibcomp/internal/obs"
+)
 
 // Instruments is the optional telemetry hook a FIB publishes through:
 // a publish-duration histogram and a bounded trace ring that records
@@ -28,10 +32,7 @@ type Instruments struct {
 // SetInstruments installs (or replaces, or removes with nil) the
 // engine's telemetry hook. Safe concurrently with ApplyBatch; a batch
 // in flight keeps the hook it loaded.
-func (f *FIB) SetInstruments(ins *Instruments) { f.ins.Store(ins) }
-
-// SetInstruments is the IPv6 twin.
-func (f *FIB6) SetInstruments(ins *Instruments) { f.ins.Store(ins) }
+func (e *engine) SetInstruments(ins *Instruments) { e.ins.Store(ins) }
 
 // Pin/validate retry counters, package-wide across engines of both
 // families. The retry branch of the snapshot and merged-view pin
@@ -51,31 +52,11 @@ func SnapshotPinRetries() uint64 { return snapPinRetries.Load() }
 // ViewPinRetries is SnapshotPinRetries for the merged serving views.
 func ViewPinRetries() uint64 { return viewPinRetries.Load() }
 
-// snapshotBytes is the per-shard term of SizeBytes: the snapshot's
-// root window (its node words are the space's arena, counted once).
-// Callers pin the snapshot or hold the shard's mu (it cannot be
-// recycled mid-read).
-func snapshotBytes(s *snapshot) int {
-	if s.blob != nil {
-		return 4 * len(s.blob.Root)
-	}
-	return s.dag.ModelBytes()
-}
-
-// snapshot6Bytes is the IPv6 twin of snapshotBytes: the shard's
-// private blob.
-func snapshot6Bytes(s *snapshot6) int {
-	if s.blob != nil {
-		return s.blob.SizeBytes()
-	}
-	return s.dag.ModelBytes()
-}
-
 // RegisterMetrics registers the publish-pipeline metrics on r: the
 // publish-duration histogram held by ins, the package-wide
-// pin/validate retry counters, and a blob-size gauge per configured
-// engine (f and f6 may each be nil; the gauges read SizeBytes at
-// scrape time, costing the write path nothing).
+// pin/validate retry counters, and the size, arena and compaction
+// series of each configured engine under its family label (f and f6
+// may each be nil).
 func RegisterMetrics(r *obs.Registry, ins *Instruments, f *FIB, f6 *FIB6) {
 	if ins != nil && ins.PublishSeconds != nil {
 		r.MustHistogram("shardfib_publish_seconds", "",
@@ -86,22 +67,31 @@ func RegisterMetrics(r *obs.Registry, ins *Instruments, f *FIB, f6 *FIB6) {
 		"Reader pin/validate retries against a concurrently retired snapshot or view.",
 		SnapshotPinRetries)
 	r.MustCounterFunc("shardfib_pin_retries_total", `kind="view"`, "", ViewPinRetries)
+	var engines []*engine
 	if f != nil {
-		r.MustGaugeFunc("shardfib_blob_bytes", `family="4"`,
-			"Resident bytes of the serving form: published snapshots, and the arena of an engine that owns one.",
-			func() uint64 { return uint64(f.SizeBytes()) })
-		r.MustGaugeFunc("shardfib_arena_resident_bytes", "",
-			"IPv4 engine's own arena and root windows, garbage included (0 without one).",
-			func() uint64 { resident, _, _ := f.Arena(); return uint64(resident) })
-		r.MustGaugeFunc("shardfib_arena_live_bytes", "",
-			"What a fresh build of the current IPv4 table would serve from; a compaction keeps resident within 1.5 × this.",
-			func() uint64 { _, live, _ := f.Arena(); return uint64(live) })
-		r.MustCounterFunc("shardfib_compactions_total", "",
-			"Arena generations started because garbage passed the bound or node indices ran out.",
-			func() uint64 { _, _, n := f.Arena(); return n })
+		engines = append(engines, &f.engine)
 	}
 	if f6 != nil {
-		r.MustGaugeFunc("shardfib_blob_bytes", `family="6"`, "",
-			func() uint64 { return uint64(f6.SizeBytes()) })
+		engines = append(engines, &f6.engine)
+	}
+	// Metric by metric, so that a scrape lists each one's families
+	// together; the functions read atomics emit stores, at scrape time.
+	for _, m := range []struct {
+		name, help string
+		register   func(name, labels, help string, fn func() uint64)
+		read       func(e *engine) uint64
+	}{
+		{"shardfib_blob_bytes", "Resident bytes of the serving form: published root windows, and the arena of an engine that owns one.",
+			r.MustGaugeFunc, func(e *engine) uint64 { return uint64(e.SizeBytes()) }},
+		{"shardfib_arena_resident_bytes", "The engine's own arena and root windows, garbage included (0 without one).",
+			r.MustGaugeFunc, func(e *engine) uint64 { resident, _, _ := e.Arena(); return uint64(resident) }},
+		{"shardfib_arena_live_bytes", "What a fresh build of the current table would serve from; a compaction keeps resident within 1.5 × this.",
+			r.MustGaugeFunc, func(e *engine) uint64 { _, live, _ := e.Arena(); return uint64(live) }},
+		{"shardfib_compactions_total", "Arena generations started because garbage passed the bound or node indices ran out.",
+			r.MustCounterFunc, func(e *engine) uint64 { _, _, n := e.Arena(); return n }},
+	} {
+		for _, e := range engines {
+			m.register(m.name, fmt.Sprintf(`family="%d"`, e.family), m.help, func() uint64 { return m.read(e) })
+		}
 	}
 }

@@ -157,7 +157,7 @@ func TestSpareSkippedWhilePinned(t *testing.T) {
 	}
 	sh := &f.shards[0]
 	held := sh.pin()
-	if got := held.lookup(0x0A000001); got != 2 {
+	if got := held.blob.Lookup(0x0A000001); got != 2 {
 		t.Fatalf("pinned snapshot: got %d, want 2", got)
 	}
 	// Publish twice: the second publish retires the snapshot the
@@ -171,7 +171,7 @@ func TestSpareSkippedWhilePinned(t *testing.T) {
 	if err := f.Set(0x0A000000, 8, 5); err != nil {
 		t.Fatal(err)
 	}
-	if got := held.lookup(0x0A000001); got != 2 {
+	if got := held.blob.Lookup(0x0A000001); got != 2 {
 		t.Fatalf("pinned snapshot mutated under reader: got %d, want 2", got)
 	}
 	held.unpin()
@@ -181,9 +181,9 @@ func TestSpareSkippedWhilePinned(t *testing.T) {
 }
 
 // TestEquivalenceAcrossLambdas pins the batched read path against the
-// flat DAG for barriers that exercise every serving mode: λ < k (no
-// merged root), the λ=8/11/16 merged fast path, and λ=26 (> 24, no
-// blob at all — folded-DAG snapshots).
+// flat DAG across the barriers an engine serves, [k, MaxLambda], and
+// the constructor's refusal of the rest: λ < k has no root window per
+// shard, λ > MaxLambda no merged root (26 would not even serialize).
 func TestEquivalenceAcrossLambdas(t *testing.T) {
 	tab := testTable(t, 3000, 21)
 	rng := rand.New(rand.NewSource(22))
@@ -195,6 +195,12 @@ func TestEquivalenceAcrossLambdas(t *testing.T) {
 				t.Fatal(err)
 			}
 			f, err := Build(tab, lambda, shards)
+			if served := shards <= 1<<lambda && lambda <= MaxLambda; !served {
+				if err == nil {
+					t.Fatalf("λ=%d shards=%d: constructor accepted a barrier outside [k,%d]", lambda, shards, MaxLambda)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

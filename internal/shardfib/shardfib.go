@@ -1,6 +1,6 @@
 // Package shardfib is the concurrent serving form of the compressed
-// FIB: the 32-bit address space is partitioned by the top k bits into
-// 2^k independent prefix-DAG shards, each published through an atomic
+// FIB: the address space is partitioned by the top k bits into 2^k
+// independent prefix-DAG shards, each published through an atomic
 // copy-on-write pointer, and every publish refreshes a merged serving
 // view — the live slice of each shard's serialized root array
 // concatenated into one FIB-wide root — so the read hot path touches
@@ -8,10 +8,10 @@
 // are lock-free: they pin the current merged view with one validated
 // reference count and walk it, so they scale across cores and are
 // never blocked by route churn. Batched lookups are additionally
-// software-pipelined (pdag.LookupBatchMerged): a fetch pass overlaps
-// the root loads of the whole batch, and walks that descend below the
-// barrier advance through interleaved lanes whose dependent node
-// fetches are in flight concurrently.
+// software-pipelined (pdag.LookupBatchMerged, ip6.LookupBatchMerged):
+// a fetch pass overlaps the root loads of the whole batch, and walks
+// that descend below the barrier advance through interleaved lanes
+// whose dependent node fetches are in flight concurrently.
 //
 // Writes patch the owning shards' mutable DAGs in place (the
 // near-optimal incremental update of §4.3) and freeze each changed
@@ -26,6 +26,13 @@
 // its live words the publish goes to a new generation instead, every
 // shard re-emitted into an array recycled from the generation before
 // last.
+//
+// All of that is one shell, the engine, which never reads an address:
+// the folded region, its arena and its serialized words are the same
+// for both families (pdag.Region). FIB and FIB6 embed it and add what
+// knows the key width — the partition of a table, the §4.3 descent
+// behind ApplyBatch, and the hand-specialised walkers behind Lookup and
+// the Views.
 //
 // Sharding preserves longest-prefix-match exactly: every prefix of an
 // address addr shares addr's top bits, so the shard owning addr holds
@@ -56,34 +63,32 @@ const MaxShards = 256
 // DefaultShards is the default partition: k=4, 16 shards.
 const DefaultShards = 16
 
-// mergedRootMaxLambda caps the barrier up to which publishes maintain
-// the merged root array: the merge copies 2^λ entries, so past 64 K
-// slots the copy would dominate the republish. Barriers outside
-// [k, mergedRootMaxLambda] serve through the per-snapshot fallback
-// path instead (correct, slower — never hit at the default λ=11).
-const mergedRootMaxLambda = 16
+// MaxLambda is the largest barrier an engine serves: a publish copies
+// the 2^λ merged root, so past 64 K slots the copy would dominate it.
+// The smallest is k — a shard's root window is 2^(λ-k) entries.
+const MaxLambda = 16
 
 // shard is one slice of the address space. cur is the published
-// immutable snapshot; dag is the writer-owned mutable prefix DAG
-// (with its control trie inside), guarded by mu together with the
-// right to publish — and by the space lock every writer takes first.
-// spare (same guards) is the snapshot retired by the previous publish:
-// once no reader or merged view pins it, the next publish serializes
-// into its buffers in place, so steady-churn republishing is
-// double-buffered and allocation-free.
+// immutable snapshot; region is the folded half of the writer-owned
+// mutable prefix DAG (the family holds the DAG itself, with its control
+// trie), guarded by mu together with the right to publish — and by the
+// space lock every writer takes first. spare (same guards) is the
+// snapshot retired by the previous publish: once no reader or merged
+// view pins it, the next publish serializes into its buffers in place,
+// so steady-churn republishing is double-buffered and allocation-free.
+// staged is a snapshot serialized but not yet published.
 type shard struct {
-	mu    sync.Mutex
-	idx   int // this shard's index — names its root window
-	dag   *pdag.DAG
-	spare *snapshot
-	cur   atomic.Pointer[snapshot]
+	mu     sync.Mutex
+	idx    int // this shard's index — names its root window
+	region *pdag.Region
+	spare  *snapshot
+	staged *snapshot
+	cur    atomic.Pointer[snapshot]
 }
 
-// snapshot is the frozen serving form of one shard: the serialized
-// blob when the barrier admits one (λ ≤ 24, always at the default
-// λ=11), else a fresh fold of the shard's control trie. Exactly one of
-// blob and dag is non-nil; either way it shares no mutable state with
-// the writer DAG.
+// snapshot is the frozen serving form of one shard: its root window,
+// and the arena's node words as they stood when it was cut. It shares
+// no mutable state with the writer DAG.
 //
 // readers counts the holders of this snapshot — in-flight lookups and
 // the merged views referencing its buffers (see pin). The writer
@@ -93,16 +98,8 @@ type shard struct {
 // retries without ever dereferencing the contents.
 type snapshot struct {
 	blob    *pdag.Blob
-	dag     *pdag.DAG
 	gen     uint64 // arena generation blob.Nodes aliases
 	readers atomic.Int64
-}
-
-func (s *snapshot) lookup(addr uint32) uint32 {
-	if s.blob != nil {
-		return s.blob.Lookup(addr)
-	}
-	return s.dag.Lookup(addr)
 }
 
 // pin loads the shard's current snapshot and registers as a holder of
@@ -127,50 +124,41 @@ func (sh *shard) pin() *snapshot {
 
 func (s *snapshot) unpin() { s.readers.Add(-1) }
 
-// publish freezes the shard's writer DAG and swaps the published
-// snapshot, retiring the previous one: it emits into the space's
-// arena, publishing only the shard's root window. An unserializable
-// barrier (λ > 24) falls back to refolding the control trie (the
-// writer DAG itself must stay private and mutable), which cannot fail:
-// Build validated λ.
-//
-// It reports false, having published nothing, when the arena ran out
-// of node indices: emit then starts a new generation and republishes
-// with last set, so that a table too large for any generation takes
-// the fallback instead of looping.
-//
-// The snapshot retired two publishes ago is reused as the write
-// buffer when nothing still pins it (lookups drain in one batch walk
-// and the merged view's pin is released when the view itself is
-// recycled, so under steady churn the republish allocates nothing); a
-// pinned spare is dropped to the garbage collector — its arena
-// generation with it, see recycleArena — and a fresh buffer allocated.
-func (sh *shard) publish(f *FIB, last bool) bool {
+// stage freezes the shard's region without publishing it: it emits
+// into the space's arena and writes the shard's root window into the
+// snapshot retired two publishes ago when nothing still pins it
+// (lookups drain in one batch walk and the merged view's pin is
+// released when the view itself is recycled, so under steady churn the
+// republish allocates nothing); a pinned spare is left to the garbage
+// collector — its arena generation with it, see recycleArena — and a
+// fresh buffer allocated. It fails only when the arena generation ran
+// out of node indices.
+func (sh *shard) stage(e *engine) error {
 	next := sh.spare
 	var buf *pdag.Blob
 	if next != nil && next.readers.Load() == 0 {
 		buf = next.blob
-		next.dag = nil
 	} else {
-		if next != nil && next.gen > f.leakGen {
-			f.leakGen = next.gen
+		if next != nil && next.gen > e.leakGen {
+			e.leakGen = next.gen
 		}
 		next = &snapshot{}
 	}
-	blob, err := sh.dag.SerializeShared(buf, sh.idx>>uint(f.shardBits-f.winBits), f.winBits)
-	if err == nil {
-		next.blob, next.gen = blob, f.space.Generation()
-		sh.spare = sh.cur.Swap(next)
-		return true
+	blob, err := sh.region.SerializeShared(buf, sh.idx, e.shardBits)
+	if err != nil {
+		return err
 	}
-	if !last && f.space.NeedsCompact() {
-		return false
-	}
-	if d, err := pdag.FromTrie(sh.dag.Control(), f.lambda); err == nil {
-		next.blob, next.dag = nil, d
-		sh.spare = sh.cur.Swap(next)
-	}
-	return true
+	next.blob, next.gen = blob, e.space.Generation()
+	sh.staged = next
+	return nil
+}
+
+// commit publishes the staged snapshot, retiring the previous one, and
+// reports the root-window bytes that went out.
+func (sh *shard) commit() int {
+	n := 4 * len(sh.staged.blob.Root)
+	sh.spare, sh.staged = sh.cur.Swap(sh.staged), nil
+	return n
 }
 
 // combined is the merged serving view the read paths walk: the live
@@ -178,10 +166,7 @@ func (sh *shard) publish(f *FIB, last bool) bool {
 // order (root), each shard's folded-region node words (nodes), and the
 // backing snapshots (snaps), which the view holds pinned for as long
 // as it is reachable so their buffers cannot be recycled under a
-// reader. root is empty when the barrier is outside
-// [k, mergedRootMaxLambda] or a shard fell back to a folded-DAG
-// snapshot; lookups then resolve per-address through snaps — still one
-// pinned, consistent view.
+// reader.
 //
 // readers counts in-flight lookups, with the same pin/validate
 // recycling protocol as snapshots; recycling a retired view is what
@@ -192,8 +177,7 @@ type combined struct {
 	snaps []*snapshot
 
 	// The walk geometry a pinned View needs to resolve without
-	// touching the FIB again: the shard index width and the owning
-	// FIB's shard shift, frozen per rebuild.
+	// touching the engine again, frozen per rebuild.
 	lambda    int
 	width     int
 	shardBits int
@@ -204,24 +188,24 @@ type combined struct {
 
 func (c *combined) unpin() { c.readers.Add(-1) }
 
-// FIB is a sharded, concurrently-updatable compressed FIB.
-type FIB struct {
-	shardBits int  // k
-	shift     uint // fib.W - k; addr >> shift selects the shard
+// engine is the family-blind shell FIB and FIB6 embed: shards,
+// snapshots, the merged view and its double buffer, the arena and its
+// generations, sizes and instruments. Nothing in it reads an address.
+type engine struct {
+	family    uint8 // 4 or 6, for trace events and metric labels
+	shardBits int   // k
+	shift     uint  // key >> shift selects the shard: W-k for IPv4, 64-k on Addr.Hi for IPv6
 	lambda    int
 	shards    []shard
 
 	// space is the hash-cons universe the shard DAGs fold into and
 	// whose arena their blobs alias: its own (own, the default), or one
-	// BuildShared was handed so that near-identical tenant FIBs cost
-	// little more than one. Every write takes the space lock first
-	// (lock order: space → applyMu → shard.mu → combMu). merged says the barrier admits a merged root;
-	// winBits is then shardBits, else 0: a shard publishes the 2^λ
-	// array whole. windows is the root words the shards publish together.
+	// a Shared constructor was handed so that near-identical tenant
+	// FIBs cost little more than one. Every write takes the space lock
+	// first (lock order: space → applyMu → shard.mu → combMu). windows
+	// is the root words the shards publish together.
 	space   *pdag.Space
 	own     bool
-	merged  bool
-	winBits int
 	windows int
 
 	// leakGen is the newest arena generation a snapshot was dropped to
@@ -246,10 +230,10 @@ type FIB struct {
 	combFree  *combined
 
 	// applyMu serializes ApplyBatch callers over the per-shard
-	// grouping scratch, so steady batched churn reuses one set of
-	// buffers instead of allocating per batch.
+	// grouping scratch (the family's, and applyTouched), so steady
+	// batched churn reuses one set of buffers instead of allocating
+	// per batch.
 	applyMu      sync.Mutex
-	applyScratch [][]Op
 	applyTouched []int
 
 	// ins is the optional telemetry hook (see Instruments); nil costs
@@ -257,11 +241,384 @@ type FIB struct {
 	ins atomic.Pointer[Instruments]
 }
 
+// setup validates the geometry and sets the shell up for `shards`
+// shards of a keyBits-wide index word, folding into sp or, when that is
+// nil, into an arena of the engine's own. A barrier outside
+// [k, MaxLambda] has no merged root to serve from and is rejected.
+func (e *engine) setup(family uint8, keyBits int, sp *pdag.Space, lambda, shards int) error {
+	if shards < 1 || shards > MaxShards || shards&(shards-1) != 0 {
+		return fmt.Errorf("shardfib: shard count %d not a power of two in [1,%d]", shards, MaxShards)
+	}
+	k := bits.TrailingZeros(uint(shards))
+	if lambda < k || lambda > MaxLambda {
+		return fmt.Errorf("shardfib: barrier λ=%d outside [log2(shards)=%d, %d]", lambda, k, MaxLambda)
+	}
+	e.family, e.shardBits, e.shift, e.lambda = family, k, uint(keyBits-k), lambda
+	e.shards = make([]shard, shards)
+	for i := range e.shards {
+		e.shards[i].idx = i
+	}
+	e.windows = 1 << uint(lambda)
+	if e.space, e.own = sp, sp == nil; e.own {
+		e.space = pdag.NewArena(e.windows)
+	}
+	return nil
+}
+
+// start publishes a freshly folded engine for the first time: an own
+// arena begins its first generation now that the fold has said how
+// large it must be. Called under the space lock; on error the regions
+// give their nodes back to the space.
+func (e *engine) start() error {
+	if e.own {
+		e.space.Compact()
+	}
+	all := make([]int, len(e.shards))
+	for i := range all {
+		all[i] = i
+	}
+	_, _, err := e.emit(all)
+	if err != nil {
+		for i := range e.shards {
+			e.shards[i].region.Release()
+		}
+	}
+	return err
+}
+
+// covering reports the inclusive shard range [lo, hi] a prefix of
+// length plen beginning in shard lo intersects: one shard when
+// plen ≥ k, a 2^(k-plen)-wide run when the prefix is shorter than the
+// shard index.
+func (e *engine) covering(lo, plen int) (int, int) {
+	if plen >= e.shardBits {
+		return lo, lo
+	}
+	return lo, lo + 1<<(e.shardBits-plen) - 1
+}
+
+// Shards reports the shard count (2^k).
+func (e *engine) Shards() int { return len(e.shards) }
+
+// ShardBits reports k, the number of address bits used as the shard
+// index.
+func (e *engine) ShardBits() int { return e.shardBits }
+
+// Lambda reports the leaf-push barrier the shards fold with.
+func (e *engine) Lambda() int { return e.lambda }
+
+// pinCombined pins the current merged view, same protocol as
+// shard.pin.
+func (e *engine) pinCombined() *combined {
+	for {
+		c := e.comb.Load()
+		c.readers.Add(1)
+		if e.comb.Load() == c {
+			return c
+		}
+		c.readers.Add(-1)
+		viewPinRetries.Inc()
+	}
+}
+
+// emit publishes the dirty shards and refreshes the merged view — a
+// short merge (2^λ root words plus per-shard slice headers) — or, when
+// the space wants a new arena generation first or runs out of node
+// indices on the way, starts one and re-emits every shard into that.
+// Every shard is staged before any is published, so that on error —
+// the table does not fit a generation's indices even compacted —
+// nothing changed for readers. It returns the number of shards
+// published and the bytes written: root windows, plus the arena's
+// growth. Called with the space lock held and no shard lock.
+func (e *engine) emit(dirty []int) (int, int64, error) {
+	arena0, bytes := e.arenaResident.Load(), int64(0)
+	compact := e.space.NeedsCompact()
+	for i := 0; i < len(dirty) && !compact; i++ {
+		sh := &e.shards[dirty[i]]
+		sh.mu.Lock()
+		compact = sh.stage(e) != nil
+		sh.mu.Unlock()
+	}
+	if compact {
+		e.space.Compact() // a shared space's owner republishes its other members
+		if err := e.Republish(); err != nil {
+			return 0, 0, err
+		}
+		e.compactions.Add(1)
+	} else {
+		for _, s := range dirty {
+			sh := &e.shards[s]
+			sh.mu.Lock()
+			bytes += int64(sh.commit())
+			sh.mu.Unlock()
+		}
+		e.rebuildCombined()
+	}
+	if e.own {
+		e.arenaResident.Store(int64(e.space.SharedBytes()))
+		e.arenaLive.Store(int64(8 * e.space.FoldedInterior()))
+	}
+	if compact {
+		return len(e.shards), int64(e.SizeBytes()), nil
+	}
+	return len(dirty), bytes + e.arenaResident.Load() - arena0, nil
+}
+
+// Republish re-emits every shard into the space's current arena
+// generation and refreshes the merged view, without changing any route
+// — what each member of a space runs after pdag.Space.Compact so that
+// its snapshots move off the retired arenas. It fails, having
+// published nothing, when the shards do not fit the generation's node
+// indices. The caller holds the space lock, which excludes every
+// writer of a member (the shard locks are not taken).
+func (e *engine) Republish() error {
+	e.combMu.Lock()
+	e.reclaimCombined()
+	e.combMu.Unlock()
+	for i := range e.shards {
+		if err := e.shards[i].stage(e); err != nil {
+			return fmt.Errorf("shardfib: IPv%d table does not fit one arena generation, keeping the last published view: %w", e.family, err)
+		}
+	}
+	for i := range e.shards {
+		e.shards[i].commit()
+	}
+	e.rebuildCombined()
+	return nil
+}
+
+// reclaim opens a write: it frees the retired merged view, which
+// releases its snapshot pins so that the publishes to come can reuse
+// the shards' spare buffers, and then the retired arena generation.
+func (e *engine) reclaim() {
+	e.combMu.Lock()
+	e.reclaimCombined()
+	e.combMu.Unlock()
+	if e.own && e.space.Retired() {
+		e.recycleArena()
+	}
+}
+
+// recycleArena hands the previous arena generation's array back to the
+// space once nothing can read it — the readers == 0 proof of snapshot
+// recycling, applied to every snapshot cut from that generation. The
+// compaction that retired it republished every shard, so those are the
+// shards' spares (never pinned anew: pin's validation fails) or were
+// dropped while pinned, which leakGen remembers — unless the republish
+// failed, and a current snapshot, which any reader may pin, is still
+// of an older generation. Called only as a write opens: from Compact to
+// Republish the current snapshots alias the array.
+func (e *engine) recycleArena() {
+	gen := e.space.Generation()
+	if e.leakGen >= gen-1 {
+		return
+	}
+	for i := range e.shards {
+		sh := &e.shards[i]
+		if sh.cur.Load().gen != gen {
+			return
+		}
+		if s := sh.spare; s != nil && s.gen == gen-1 && s.readers.Load() != 0 {
+			return
+		}
+	}
+	e.space.Recycle()
+}
+
+// reclaimCombined moves the retired merged view to the free slot once
+// no reader pins it, releasing its snapshot pins. Called with combMu
+// held.
+func (e *engine) reclaimCombined() {
+	c := e.combSpare
+	if c == nil || c.readers.Load() != 0 {
+		return
+	}
+	for i, s := range c.snaps {
+		if s != nil {
+			s.unpin()
+			c.snaps[i] = nil
+		}
+	}
+	e.combSpare = nil
+	if e.combFree == nil {
+		e.combFree = c
+	}
+}
+
+// rebuildCombined publishes, under combMu, a fresh merged view of
+// every shard's current snapshot, reusing the drained view's buffers
+// when one is available. If the previous retired view is still pinned
+// when a new one retires, it is dropped to the garbage collector with
+// its snapshot pins intact — those pins are leaked deliberately (the
+// affected shards allocate one fresh buffer each on their next
+// publish); the window is a reader batch, so this is rarely hit.
+func (e *engine) rebuildCombined() {
+	e.combMu.Lock()
+	defer e.combMu.Unlock()
+	c := e.combFree
+	e.combFree = nil
+	if c == nil {
+		c = &combined{}
+	}
+	ns := len(e.shards)
+	rootLen := 1 << uint(e.lambda)
+	if cap(c.snaps) < ns {
+		c.snaps = make([]*snapshot, ns)
+		c.nodes = make([][]uint32, ns)
+		c.root = make([]uint32, rootLen)
+	}
+	c.snaps, c.nodes, c.root = c.snaps[:ns], c.nodes[:ns], c.root[:rootLen]
+	c.shardBits, c.shift, c.lambda = e.shardBits, e.shift, e.lambda
+	per := rootLen >> uint(e.shardBits)
+	for s := range e.shards {
+		snap := e.shards[s].pin() // held until the view is reclaimed
+		c.snaps[s], c.nodes[s], c.width = snap, snap.blob.Nodes, snap.blob.Width
+		copy(c.root[s*per:(s+1)*per], snap.blob.Root)
+	}
+	old := e.comb.Swap(c)
+	if old != nil {
+		// Interleaved publishes of different shards can land here with
+		// the previous retiree still in the spare slot: reclaim it if
+		// it drained (moving its buffers to the free slot for the next
+		// rebuild) so its snapshot pins are not leaked; only a spare
+		// that is genuinely still pinned is dropped.
+		e.reclaimCombined()
+		e.combSpare = old
+	}
+}
+
+// begin opens a batch's timed span when instruments are installed.
+func (e *engine) begin() (ins *Instruments, start time.Time) {
+	if ins = e.ins.Load(); ins != nil {
+		start = time.Now()
+	}
+	return ins, start
+}
+
+// record closes the span begin opened: one publish observation and one
+// trace event, of the engine's family.
+func (e *engine) record(ins *Instruments, start time.Time, ev obs.TraceEvent) {
+	if ins == nil {
+		return
+	}
+	d := time.Since(start)
+	ins.PublishSeconds.Observe(uint64(d))
+	ev.UnixNs, ev.Family, ev.DurUs = start.UnixNano(), e.family, d.Microseconds()
+	ins.Trace.Record(ev)
+}
+
+// publishBatch closes an ApplyBatch once every touched shard is
+// patched: the space then knows how many nodes the whole batch created
+// when it rules on compaction — which republishes every shard, so such
+// a batch's trace event carries Dirty == Shards == 2^k.
+func (e *engine) publishBatch(ins *Instruments, start time.Time, ops, touched int, dirty []int, mutated int) error {
+	npub, pubBytes := 0, int64(0)
+	var err error
+	if len(dirty) > 0 {
+		npub, pubBytes, err = e.emit(dirty)
+		touched = max(touched, npub)
+	}
+	e.record(ins, start, obs.TraceEvent{
+		Kind:    obs.TraceApplyBatch,
+		Shards:  int32(touched),
+		Dirty:   int32(npub),
+		Ops:     int32(ops),
+		Mutated: int32(mutated),
+		Bytes:   pubBytes,
+	})
+	return err
+}
+
+// reloadShard swaps shard i's folded region for next and publishes it;
+// on error the shard keeps region and snapshot as they were and next's
+// nodes go back to the space. Called under the space lock.
+func (e *engine) reloadShard(i int, next *pdag.Region) error {
+	sh := &e.shards[i]
+	sh.mu.Lock()
+	old := sh.region
+	sh.region = next
+	sh.mu.Unlock()
+	e.reclaim()
+	if _, _, err := e.emit([]int{i}); err != nil {
+		sh.mu.Lock()
+		sh.region = old
+		sh.mu.Unlock()
+		next.Release()
+		return err
+	}
+	// Return the replaced DAG's folded references to the space so the
+	// old table does not pin its subtrees forever.
+	old.Release()
+	return nil
+}
+
+// recordReload closes a Reload's span.
+func (e *engine) recordReload(ins *Instruments, start time.Time) {
+	e.record(ins, start, obs.TraceEvent{
+		Kind:   obs.TraceReload,
+		Shards: int32(len(e.shards)),
+		Dirty:  int32(len(e.shards)),
+		Bytes:  int64(e.SizeBytes()),
+	})
+}
+
+// ModelBytes reports the summed §4.2 model size of the shard DAGs.
+// Replicated short prefixes make this slightly larger than the flat
+// DAG's — the memory cost of sharding. The folded region is the
+// space's (one index across the engine's shards, and across
+// co-tenants in shared mode), counted once.
+func (e *engine) ModelBytes() int {
+	e.space.Lock()
+	defer e.space.Unlock()
+	total := 0
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.mu.Lock()
+		st := sh.region.Stats()
+		sh.mu.Unlock()
+		total += st.ModelBits
+		if i > 0 {
+			total -= st.FoldedInterior*2*st.PointerBits + st.FoldedLeaves*bits.Len(uint(st.Delta))
+		}
+	}
+	return (total + 7) / 8
+}
+
+// SizeBytes reports the resident byte size of the serving form (the
+// line-card form actually walked by lookups): every shard's published
+// root window, plus — for an engine that owns its arena — the arena's
+// node words, garbage included (at most half again the live ones). A
+// member of a shared space reports its windows only, as if none were
+// interned; what the space really holds is counted once, by
+// Space.SharedBytes.
+func (e *engine) SizeBytes() int {
+	return int(e.arenaResident.Load()) + 4*e.windows
+}
+
+// Arena reports the bytes of the engine's own arena and root windows —
+// resident, and live (what a fresh build of the same table would
+// serve from) — and how many times the arena has compacted; zeros for
+// an engine without one.
+func (e *engine) Arena() (resident, live int, compactions uint64) {
+	if !e.own {
+		return 0, 0, 0
+	}
+	return int(e.arenaResident.Load()) + 4*e.windows, int(e.arenaLive.Load()) + 4*e.windows, e.compactions.Load()
+}
+
+// FIB is a sharded, concurrently-updatable compressed IPv4 FIB: the
+// engine, plus the 32-bit descent and walkers.
+type FIB struct {
+	engine
+	dags         []*pdag.DAG // the shards' writer DAGs; dags[i].Region is shards[i].region
+	applyScratch [][]Op
+}
+
 // Build partitions a FIB table into `shards` prefix DAGs (a power of
-// two in [1, MaxShards]) folded with leaf-push barrier lambda, into an
-// arena of the engine's own.
+// two in [1, MaxShards]) folded with leaf-push barrier lambda ∈
+// [log2 shards, MaxLambda], into an arena of the engine's own.
 func Build(t *fib.Table, lambda, shards int) (*FIB, error) {
-	return build(nil, t, lambda, shards)
+	return BuildShared(nil, t, lambda, shards)
 }
 
 // BuildShared builds a FIB whose shard DAGs fold into sp — the
@@ -269,51 +626,27 @@ func Build(t *fib.Table, lambda, shards int) (*FIB, error) {
 // isomorphic folded subtrees with every other member on both the
 // writer side (one hash-cons universe) and the serving side (blobs
 // alias the space's shared arenas, and bit-identical root windows are
-// interned). The barrier must satisfy k ≤ λ ≤ 16 so every shard
-// serves through the merged root. Lookups are exactly as in a private
-// FIB; writes take the space lock, serializing control-plane churn
-// across tenants (data-plane reads are never blocked).
+// interned). Lookups are exactly as in a private FIB; writes take the
+// space lock, serializing control-plane churn across tenants
+// (data-plane reads are never blocked). A nil space is Build.
 func BuildShared(sp *pdag.Space, t *fib.Table, lambda, shards int) (*FIB, error) {
-	return build(sp, t, lambda, shards)
-}
-
-// build is the one constructor. An engine handed no space makes its
-// own arena, and starts that arena's first generation once the fold
-// has said how large it must be.
-func build(sp *pdag.Space, t *fib.Table, lambda, shards int) (*FIB, error) {
-	if shards < 1 || shards > MaxShards || shards&(shards-1) != 0 {
-		return nil, fmt.Errorf("shardfib: shard count %d not a power of two in [1,%d]", shards, MaxShards)
+	f := &FIB{}
+	if err := f.setup(4, fib.W, sp, lambda, shards); err != nil {
+		return nil, err
 	}
-	f := &FIB{
-		shardBits: bits.TrailingZeros(uint(shards)),
-		lambda:    lambda,
-		shards:    make([]shard, shards),
-		space:     sp,
-	}
-	f.shift = uint(fib.W - f.shardBits)
-	if f.merged = f.shardBits <= lambda && lambda <= mergedRootMaxLambda; f.merged {
-		f.winBits = f.shardBits
-	} else if sp != nil {
-		return nil, fmt.Errorf("shardfib: shared mode needs k=%d ≤ λ=%d ≤ %d", f.shardBits, lambda, mergedRootMaxLambda)
-	}
-	f.windows = shards << uint(max(min(lambda, fib.W)-f.winBits, 0))
-	if f.own = sp == nil; f.own {
-		f.space = pdag.NewArena(f.windows)
-	}
+	f.dags, f.applyScratch = make([]*pdag.DAG, shards), make([][]Op, shards)
 	f.space.Lock()
 	defer f.space.Unlock()
-	all := make([]int, shards)
 	for i, tr := range f.partition(t) {
 		d, err := pdag.FromTrieShared(f.space, tr, lambda)
 		if err != nil {
 			return nil, err
 		}
-		f.shards[i].idx, f.shards[i].dag, all[i] = i, d, i
+		f.dags[i], f.shards[i].region = d, &d.Region
 	}
-	if f.own {
-		f.space.Compact()
+	if err := f.start(); err != nil {
+		return nil, err
 	}
-	f.emit(all)
 	return f, nil
 }
 
@@ -325,7 +658,7 @@ func (f *FIB) partition(t *fib.Table) []*trie.Trie {
 		tries[i] = trie.New()
 	}
 	for _, e := range t.Entries {
-		lo, hi := f.covering(e.Addr, e.Len)
+		lo, hi := f.covering(f.ShardOf(e.Addr), e.Len)
 		for s := lo; s <= hi; s++ {
 			tries[s].Insert(e.Addr, e.Len, e.NextHop)
 		}
@@ -333,223 +666,8 @@ func (f *FIB) partition(t *fib.Table) []*trie.Trie {
 	return tries
 }
 
-// covering reports the inclusive shard range [lo, hi] a prefix
-// addr/plen intersects: one shard when plen ≥ k, a 2^(k-plen)-wide
-// run when the prefix is shorter than the shard index.
-func (f *FIB) covering(addr uint32, plen int) (lo, hi int) {
-	lo = int(addr >> f.shift)
-	if plen >= f.shardBits {
-		return lo, lo
-	}
-	return lo, lo + 1<<(f.shardBits-plen) - 1
-}
-
-// Shards reports the shard count (2^k).
-func (f *FIB) Shards() int { return len(f.shards) }
-
-// ShardBits reports k, the number of address bits used as the shard
-// index.
-func (f *FIB) ShardBits() int { return f.shardBits }
-
-// Lambda reports the leaf-push barrier the shards fold with.
-func (f *FIB) Lambda() int { return f.lambda }
-
-// SnapshotsSerialized reports whether every shard currently serves a
-// serialized blob. False means at least one shard fell back to an
-// unserialized folded-DAG snapshot (barrier beyond the serializable
-// range, or a folded region too large for the blob index space) —
-// correct but slower, and worth surfacing to an operator.
-func (f *FIB) SnapshotsSerialized() bool {
-	for i := range f.shards {
-		s := f.shards[i].pin()
-		serialized := s.blob != nil
-		s.unpin()
-		if !serialized {
-			return false
-		}
-	}
-	return true
-}
-
 // ShardOf reports the shard index owning an address.
 func (f *FIB) ShardOf(addr uint32) int { return int(addr >> f.shift) }
-
-// pinCombined pins the current merged view, same protocol as
-// shard.pin.
-func (f *FIB) pinCombined() *combined {
-	for {
-		c := f.comb.Load()
-		c.readers.Add(1)
-		if f.comb.Load() == c {
-			return c
-		}
-		c.readers.Add(-1)
-		viewPinRetries.Inc()
-	}
-}
-
-// emit publishes the dirty shards and refreshes the merged view — a
-// short merge (2^λ root words plus per-shard slice headers) — or, when
-// the space wants a new arena generation first, re-emits every shard
-// into that. It returns the number of shards published and the bytes
-// written: root windows, plus the arena's growth.
-// Called with the space lock held and no shard lock.
-func (f *FIB) emit(dirty []int) (int, int64) {
-	arena0, bytes := f.arenaResident.Load(), int64(0)
-	compact := f.space.NeedsCompact()
-	for i := 0; i < len(dirty) && !compact; i++ {
-		sh := &f.shards[dirty[i]]
-		sh.mu.Lock()
-		compact = !sh.publish(f, false)
-		bytes += int64(snapshotBytes(sh.cur.Load()))
-		sh.mu.Unlock()
-	}
-	if compact {
-		f.space.Compact() // a shared space's owner republishes its other members
-		f.Republish()
-		f.compactions.Add(1)
-	} else {
-		f.rebuildCombined()
-	}
-	if f.own {
-		f.arenaResident.Store(int64(f.space.SharedBytes()))
-		f.arenaLive.Store(int64(8 * f.space.FoldedInterior()))
-	}
-	if compact {
-		return len(f.shards), int64(f.SizeBytes())
-	}
-	return len(dirty), bytes + f.arenaResident.Load() - arena0
-}
-
-// Republish re-emits every shard into the space's current arena
-// generation and refreshes the merged view, without changing any route
-// — what each member of a space runs after pdag.Space.Compact so that
-// its snapshots move off the retired arenas. The caller holds the
-// space lock, which excludes every writer of a member (the shard locks
-// are not taken).
-func (f *FIB) Republish() {
-	f.combMu.Lock()
-	f.reclaimCombined()
-	f.combMu.Unlock()
-	for i := range f.shards {
-		f.shards[i].publish(f, true)
-	}
-	f.rebuildCombined()
-}
-
-// reclaim opens a write: it frees the retired merged view, which
-// releases its snapshot pins so that the publishes to come can reuse
-// the shards' spare buffers, and then the retired arena generation.
-func (f *FIB) reclaim() {
-	f.combMu.Lock()
-	f.reclaimCombined()
-	f.combMu.Unlock()
-	if f.own && f.space.Retired() {
-		f.recycleArena()
-	}
-}
-
-// recycleArena hands the previous arena generation's array back to the
-// space once nothing can read it — the readers == 0 proof of snapshot
-// recycling, applied to every snapshot cut from that generation. The
-// compaction that retired it republished every shard, so those are the
-// shards' spares (never pinned anew: pin's validation fails) or were
-// dropped while pinned, which leakGen remembers. Called only as a write
-// opens: from Compact to Republish the current snapshots alias the array.
-func (f *FIB) recycleArena() {
-	old := f.space.Generation() - 1
-	if f.leakGen >= old {
-		return
-	}
-	for i := range f.shards {
-		if s := f.shards[i].spare; s != nil && s.gen == old && s.readers.Load() != 0 {
-			return
-		}
-	}
-	f.space.Recycle()
-}
-
-// reclaimCombined moves the retired merged view to the free slot once
-// no reader pins it, releasing its snapshot pins. Called with combMu
-// held.
-func (f *FIB) reclaimCombined() {
-	c := f.combSpare
-	if c == nil || c.readers.Load() != 0 {
-		return
-	}
-	for i, s := range c.snaps {
-		if s != nil {
-			s.unpin()
-			c.snaps[i] = nil
-		}
-	}
-	f.combSpare = nil
-	if f.combFree == nil {
-		f.combFree = c
-	}
-}
-
-// rebuildCombined publishes, under combMu, a fresh merged view of
-// every shard's current snapshot, reusing the drained view's buffers
-// when one is available. If the previous retired view is still pinned
-// when a new one retires, it is dropped to the garbage collector with
-// its snapshot pins intact — those pins are leaked deliberately (the
-// affected shards allocate one fresh buffer each on their next
-// publish); the window is a reader batch, so this is rarely hit.
-func (f *FIB) rebuildCombined() {
-	f.combMu.Lock()
-	defer f.combMu.Unlock()
-	c := f.combFree
-	f.combFree = nil
-	if c == nil {
-		c = &combined{}
-	}
-	ns := len(f.shards)
-	if cap(c.snaps) < ns {
-		c.snaps = make([]*snapshot, ns)
-		c.nodes = make([][]uint32, ns)
-	}
-	c.snaps = c.snaps[:ns]
-	c.nodes = c.nodes[:ns]
-	c.shardBits = f.shardBits
-	c.shift = f.shift
-	merged := f.merged
-	for s := range f.shards {
-		snap := f.shards[s].pin() // held until the view is reclaimed
-		c.snaps[s] = snap
-		if snap.blob != nil {
-			c.nodes[s] = snap.blob.Nodes
-			c.lambda, c.width = snap.blob.Lambda, snap.blob.Width
-		} else {
-			c.nodes[s] = nil
-			merged = false
-		}
-	}
-	c.root = c.root[:0]
-	if merged {
-		rootLen := 1 << uint(c.lambda)
-		if cap(c.root) < rootLen {
-			c.root = make([]uint32, rootLen)
-		}
-		c.root = c.root[:rootLen]
-		per := rootLen >> uint(f.shardBits)
-		for s := range f.shards {
-			lo := s * per
-			b := c.snaps[s].blob
-			copy(c.root[lo:lo+per], b.Root[lo-b.RootBase:lo-b.RootBase+per])
-		}
-	}
-	old := f.comb.Swap(c)
-	if old != nil {
-		// Interleaved publishes of different shards can land here with
-		// the previous retiree still in the spare slot: reclaim it if
-		// it drained (moving its buffers to the free slot for the next
-		// rebuild) so its snapshot pins are not leaked; only a spare
-		// that is genuinely still pinned is dropped.
-		f.reclaimCombined()
-		f.combSpare = old
-	}
-}
 
 // Lookup performs longest prefix match on the owning shard's current
 // snapshot. Lock-free: one pinned snapshot load plus the O(W - λ)
@@ -559,9 +677,8 @@ func (f *FIB) rebuildCombined() {
 // reader-count traffic across 2^k cache lines instead of contending
 // on one; batches amortize and use the view.
 func (f *FIB) Lookup(addr uint32) uint32 {
-	sh := &f.shards[addr>>f.shift]
-	s := sh.pin()
-	label := s.lookup(addr)
+	s := f.shards[addr>>f.shift].pin()
+	label := s.blob.Lookup(addr)
 	s.unpin()
 	return label
 }
@@ -642,6 +759,9 @@ type Op struct {
 //
 // Concurrent lookups are never blocked; as with Set, each shard's
 // readers flip to the new routes the moment the final rebuild lands.
+// An error after validation means the patched table no longer fits one
+// arena generation: readers keep the view of before the batch, and the
+// routes go out with the next batch that does fit.
 func (f *FIB) ApplyBatch(ops []Op) (int, error) {
 	for _, op := range ops {
 		if op.Len < 0 || op.Len > fib.W {
@@ -658,13 +778,10 @@ func (f *FIB) ApplyBatch(ops []Op) (int, error) {
 	defer f.space.Unlock()
 	f.applyMu.Lock()
 	defer f.applyMu.Unlock()
-	if f.applyScratch == nil {
-		f.applyScratch = make([][]Op, len(f.shards))
-	}
 	touched := f.applyTouched[:0]
 	for _, op := range ops {
 		op.Addr &= fib.Mask(op.Len)
-		lo, hi := f.covering(op.Addr, op.Len)
+		lo, hi := f.covering(f.ShardOf(op.Addr), op.Len)
 		for s := lo; s <= hi; s++ {
 			if len(f.applyScratch[s]) == 0 {
 				touched = append(touched, s)
@@ -674,15 +791,11 @@ func (f *FIB) ApplyBatch(ops []Op) (int, error) {
 	}
 	f.applyTouched = touched
 	f.reclaim()
-	ins := f.ins.Load()
-	var start time.Time
-	if ins != nil {
-		start = time.Now()
-	}
+	ins, start := f.begin()
 	mutated, dirty := 0, touched[:0]
 	var firstErr error
 	for _, s := range touched {
-		sh := &f.shards[s]
+		sh, d := &f.shards[s], f.dags[s]
 		sh.mu.Lock()
 		changed := false
 		for _, op := range f.applyScratch[s] {
@@ -691,16 +804,16 @@ func (f *FIB) ApplyBatch(ops []Op) (int, error) {
 			// counting a replicated short-prefix op only in its
 			// owning shard keeps mutated ≤ len(ops) — one count per
 			// logical route change, not per replica.
-			owner := int(op.Addr>>f.shift) == s
+			owner := f.ShardOf(op.Addr) == s
 			if op.Label == fib.NoLabel {
-				if sh.dag.Delete(op.Addr, op.Len) {
+				if d.Delete(op.Addr, op.Len) {
 					changed = true
 					if owner {
 						mutated++
 					}
 				}
-			} else if sh.dag.Control().Get(op.Addr, op.Len) != op.Label {
-				if err := sh.dag.Set(op.Addr, op.Len, op.Label); err != nil {
+			} else if d.Control().Get(op.Addr, op.Len) != op.Label {
+				if err := d.Set(op.Addr, op.Len, op.Label); err != nil {
 					// Unreachable after the validation pass; if it
 					// ever fires, finish publishing so readers still
 					// see a consistent (partially applied) view.
@@ -721,29 +834,8 @@ func (f *FIB) ApplyBatch(ops []Op) (int, error) {
 			dirty = append(dirty, s) // in place: dirty trails the read index
 		}
 	}
-	// Publish once every shard is patched: the space then knows how
-	// many nodes the whole batch created when it rules on compaction —
-	// which republishes every shard, so such a batch's trace event
-	// carries Dirty == Shards == 2^k.
-	ntouched, npub, pubBytes := len(touched), 0, int64(0)
-	if len(dirty) > 0 {
-		npub, pubBytes = f.emit(dirty)
-		ntouched = max(ntouched, npub)
-	}
-	if ins != nil {
-		d := time.Since(start)
-		ins.PublishSeconds.Observe(uint64(d))
-		ins.Trace.Record(obs.TraceEvent{
-			UnixNs:  start.UnixNano(),
-			Kind:    obs.TraceApplyBatch,
-			Family:  4,
-			Shards:  int32(ntouched),
-			Dirty:   int32(npub),
-			Ops:     int32(len(ops)),
-			Mutated: int32(mutated),
-			Bytes:   pubBytes,
-			DurUs:   d.Microseconds(),
-		})
+	if err := f.publishBatch(ins, start, len(ops), len(touched), dirty, mutated); firstErr == nil {
+		firstErr = err
 	}
 	return mutated, firstErr
 }
@@ -751,13 +843,10 @@ func (f *FIB) ApplyBatch(ops []Op) (int, error) {
 // Reload atomically replaces the whole FIB shard by shard from a
 // fresh table — the hot-reload path behind fibserve's SIGHUP. Lookups
 // proceed throughout; each shard flips to the new table's routes the
-// moment its publish lands in the merged view.
+// moment its publish lands in the merged view. On error the shards not
+// yet reached keep the old table, writer and readers alike.
 func (f *FIB) Reload(t *fib.Table) error {
-	ins := f.ins.Load()
-	var start time.Time
-	if ins != nil {
-		start = time.Now()
-	}
+	ins, start := f.begin()
 	f.space.Lock()
 	defer f.space.Unlock()
 	for i, tr := range f.partition(t) {
@@ -765,78 +854,11 @@ func (f *FIB) Reload(t *fib.Table) error {
 		if err != nil {
 			return err
 		}
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		old := sh.dag
-		sh.dag = d
-		sh.mu.Unlock()
-		f.reclaim()
-		f.emit([]int{i})
-		// Return the replaced DAG's folded references to the space so
-		// the old table does not pin its subtrees forever.
-		old.Release()
-	}
-	if ins != nil {
-		d := time.Since(start)
-		ins.PublishSeconds.Observe(uint64(d))
-		ins.Trace.Record(obs.TraceEvent{
-			UnixNs: start.UnixNano(),
-			Kind:   obs.TraceReload,
-			Family: 4,
-			Shards: int32(len(f.shards)),
-			Dirty:  int32(len(f.shards)),
-			Bytes:  int64(f.SizeBytes()),
-			DurUs:  d.Microseconds(),
-		})
-	}
-	return nil
-}
-
-// ModelBytes reports the summed §4.2 model size of the shard DAGs.
-// Replicated short prefixes make this slightly larger than the flat
-// DAG's — the memory cost of sharding. The folded region is the
-// space's (one index across the engine's shards, and across
-// co-tenants in shared mode), counted once.
-func (f *FIB) ModelBytes() int {
-	f.space.Lock()
-	defer f.space.Unlock()
-	total := 0
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		st := sh.dag.Stats()
-		sh.mu.Unlock()
-		total += st.ModelBits
-		if i > 0 {
-			total -= st.FoldedInterior*2*st.PointerBits + st.FoldedLeaves*bits.Len(uint(st.Delta))
+		if err := f.reloadShard(i, &d.Region); err != nil {
+			return err
 		}
+		f.dags[i] = d
 	}
-	return (total + 7) / 8
-}
-
-// SizeBytes reports the resident byte size of the serving form (the
-// line-card form actually walked by lookups): every shard's published
-// root window, plus — for an engine that owns its arena — the arena's
-// node words, garbage included (at most half again the live ones). A
-// member of a shared space reports its windows only; the arena is
-// counted once, by Space.SharedBytes.
-func (f *FIB) SizeBytes() int {
-	total := int(f.arenaResident.Load())
-	for i := range f.shards {
-		s := f.shards[i].pin()
-		total += snapshotBytes(s)
-		s.unpin()
-	}
-	return total
-}
-
-// Arena reports the bytes of the engine's own arena and root windows —
-// resident, and live (what a fresh build of the same table would
-// serve from) — and how many times the arena has compacted; zeros for
-// an engine without one.
-func (f *FIB) Arena() (resident, live int, compactions uint64) {
-	if !f.own {
-		return 0, 0, 0
-	}
-	return int(f.arenaResident.Load()) + 4*f.windows, int(f.arenaLive.Load()) + 4*f.windows, f.compactions.Load()
+	f.recordReload(ins, start)
+	return nil
 }

@@ -35,7 +35,7 @@ func (v View) Release() { v.c.unpin() }
 // contract (and serves the rare single-address wire request).
 func (v View) Lookup(addr uint32) uint32 {
 	c := v.c
-	return c.snaps[addr>>c.shift].lookup(addr)
+	return c.snaps[addr>>c.shift].blob.Lookup(addr)
 }
 
 // LookupBatchInto resolves a batch against the pinned view, writing
@@ -43,27 +43,13 @@ func (v View) Lookup(addr uint32) uint32 {
 // without the per-call pin traffic.
 func (v View) LookupBatchInto(dst, addrs []uint32) {
 	c := v.c
-	n := len(addrs)
-	if n == 0 {
-		return
-	}
-	dst = dst[:n]
-	if len(c.root) != 0 {
-		pdag.LookupBatchMerged(dst, addrs, c.root, c.nodes, c.shardBits, c.lambda, c.width)
-	} else {
-		// Barrier outside [k, 16]: no merged root is maintained;
-		// resolve per address against the view's pinned snapshots
-		// (correctness path, never hit at serving barriers).
-		for i, a := range addrs {
-			dst[i] = c.snaps[a>>c.shift].lookup(a)
-		}
-	}
+	pdag.LookupBatchMerged(dst, addrs, c.root, c.nodes, c.shardBits, c.lambda, c.width)
 }
 
 // View6 is the IPv6 twin of View: a pinned reference to the FIB6's
 // merged serving view, with the same one-pointer representation and
 // the same release-promptly contract.
-type View6 struct{ c *combined6 }
+type View6 struct{ c *combined }
 
 // PinView pins the current merged IPv6 view until Release.
 func (f *FIB6) PinView() View6 { return View6{f.pinCombined()} }
@@ -74,25 +60,12 @@ func (v View6) Release() { v.c.unpin() }
 // Lookup resolves one IPv6 address against the pinned view.
 func (v View6) Lookup(addr ip6.Addr) uint32 {
 	c := v.c
-	return c.snaps[addr.Hi>>c.shift].lookup(addr)
+	return (*ip6.Blob)(c.snaps[addr.Hi>>c.shift].blob).Lookup(addr)
 }
 
 // LookupBatchInto resolves an IPv6 batch against the pinned view —
 // FIB6.LookupBatchInto without the per-call pin traffic.
 func (v View6) LookupBatchInto(dst []uint32, addrs []ip6.Addr) {
 	c := v.c
-	n := len(addrs)
-	if n == 0 {
-		return
-	}
-	dst = dst[:n]
-	if len(c.root) != 0 {
-		ip6.LookupBatchMerged(dst, addrs, c.root, c.nodes, c.shardBits, c.lambda)
-	} else {
-		// Barrier outside [k, 16]: resolve per address against the
-		// view's pinned snapshots (correctness path).
-		for i, a := range addrs {
-			dst[i] = c.snaps[a.Hi>>c.shift].lookup(a)
-		}
-	}
+	ip6.LookupBatchMerged(dst, addrs, c.root, c.nodes, c.shardBits, c.lambda)
 }

@@ -3,11 +3,13 @@
 // index. Real multi-tenant deployments carry hundreds of VRFs whose
 // tables are near-identical — a common provider core plus a few
 // tenant-specific routes — and folding every tenant's prefix DAG into
-// one shared space (pdag.Space / ip6.Space6) makes that redundancy
+// one shared space per family (pdag.Space) makes that redundancy
 // structural: an isomorphic folded subtree appearing in any number of
-// tenant tables is stored once, and on the IPv4 side the serialized
-// blobs alias one shared arena too, so 256 near-identical tenants cost
-// little more resident blob memory than one.
+// tenant tables is stored once, and the serialized blobs alias one
+// shared arena too — node words appended once, root windows interned
+// by content — so 256 near-identical tenants cost little more resident
+// blob memory than one, and a family no tenant has routes in costs one
+// window.
 //
 // The registry is the control plane's view: adding, reloading and
 // removing tenants takes the registry lock, while the serving path
@@ -46,8 +48,8 @@ type Tenant struct {
 
 // Registry owns the tenant tables of one serving process.
 type Registry struct {
-	space   *pdag.Space
-	space6  *ip6.Space6
+	space   *pdag.Space // IPv4
+	space6  *pdag.Space // IPv6
 	lambda  int
 	lambda6 int
 	shards  int
@@ -64,7 +66,7 @@ type Registry struct {
 func New(lambda, lambda6, shards int) *Registry {
 	r := &Registry{
 		space:   pdag.NewSpace(),
-		space6:  ip6.NewSpace6(),
+		space6:  pdag.NewSpace(),
 		lambda:  lambda,
 		lambda6: lambda6,
 		shards:  shards,
@@ -74,10 +76,22 @@ func New(lambda, lambda6, shards int) *Registry {
 	// Whoever starts a new arena generation — Compact below, or a
 	// tenant's write that ran the current one out of node indices —
 	// has every published tenant re-emit into it, under the space lock
-	// it already holds.
+	// it already holds. A tenant that does not fit keeps its snapshots
+	// of the old generation, and so does every tenant after it: the
+	// space stays out of indices (NeedsCompact) until a later write's
+	// compaction finds the tables smaller.
 	r.space.OnCompact(func() {
 		for _, tn := range *r.tabs.Load() {
-			tn.V4.Republish()
+			if tn.V4.Republish() != nil {
+				return
+			}
+		}
+	})
+	r.space6.OnCompact(func() {
+		for _, tn := range *r.tabs.Load() {
+			if tn.V6.Republish() != nil {
+				return
+			}
 		}
 	})
 	return r
@@ -196,24 +210,17 @@ func (r *Registry) Reload(id uint16, t4 *fib.Table, t6 *ip6.Table) error {
 	return nil
 }
 
-// SharedBytes reports the resident size of the shared IPv4 serving
-// arenas — the node words and deduplicated root windows all tenants'
-// v4 blobs alias, counted once. This is the number the <3×-of-one-
-// tenant memory claim is measured on.
+// SharedBytes reports the resident size of the two families' shared
+// serving arenas — the node words and deduplicated root windows all
+// tenants' blobs alias, counted once: every word a tenant lookup can
+// walk. This is the number the <3×-of-one-tenant memory claim is
+// measured on.
 func (r *Registry) SharedBytes() int {
-	r.space.Lock()
-	defer r.space.Unlock()
-	return r.space.SharedBytes()
-}
-
-// UniqueBytes reports the per-tenant serving bytes outside the shared
-// arenas: the IPv6 blobs, which stay tenant-private (the v6
-// serializers' incremental geometry is per-DAG; cross-tenant v6
-// sharing is writer-side only).
-func (r *Registry) UniqueBytes() int {
 	total := 0
-	for _, tn := range *r.tabs.Load() {
-		total += tn.V6.SizeBytes()
+	for _, sp := range []*pdag.Space{r.space, r.space6} {
+		sp.Lock()
+		total += sp.SharedBytes()
+		sp.Unlock()
 	}
 	return total
 }
@@ -230,17 +237,29 @@ func (r *Registry) FoldedInterior() (v4, v6 int) {
 	return v4, v6
 }
 
-// Compact retires the shared IPv4 arenas and republishes every tenant
-// into fresh ones — garbage collection for a registry whose arenas
-// accumulated dead words through heavy churn or tenant removal. Blobs
-// published before the compaction keep serving from the retired
-// arenas until their snapshots drain.
-func (r *Registry) Compact() {
+// Compact retires both families' shared arenas and republishes every
+// tenant into fresh ones — garbage collection for a registry whose
+// arenas accumulated dead words through heavy churn or tenant removal.
+// Blobs published before the compaction keep serving from the retired
+// arenas until their snapshots drain. It fails when the tenants'
+// tables no longer fit one generation's node indices; every tenant
+// then keeps serving what it last published.
+func (r *Registry) Compact() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.space.Lock()
-	r.space.Compact()
-	r.space.Unlock()
+	for _, fam := range []struct {
+		sp *pdag.Space
+		v  int
+	}{{r.space, 4}, {r.space6, 6}} {
+		fam.sp.Lock()
+		fam.sp.Compact()
+		full := fam.sp.NeedsCompact()
+		fam.sp.Unlock()
+		if full {
+			return fmt.Errorf("vrftab: the tenants' IPv%d tables do not fit one arena generation", fam.v)
+		}
+	}
+	return nil
 }
 
 // RegisterMetrics exposes the registry-wide gauges plus one gauge
@@ -250,10 +269,8 @@ func (r *Registry) Compact() {
 func (r *Registry) RegisterMetrics(reg *obs.Registry) {
 	reg.MustGaugeFunc("vrftab_tenants", "", "Number of VRF tenants currently published.",
 		func() uint64 { return uint64(r.Len()) })
-	reg.MustGaugeFunc("vrftab_shared_bytes", "", "Resident bytes of the shared IPv4 serving arenas, counted once across all tenants.",
+	reg.MustGaugeFunc("vrftab_shared_bytes", "", "Resident bytes of both families' shared serving arenas (node words and interned root windows), counted once across all tenants.",
 		func() uint64 { return uint64(r.SharedBytes()) })
-	reg.MustGaugeFunc("vrftab_unique_bytes", "", "Per-tenant serving bytes outside the shared arenas (IPv6 blobs).",
-		func() uint64 { return uint64(r.UniqueBytes()) })
 	reg.MustGaugeFunc("vrftab_folded_interior", `family="4"`, "Shared interior nodes |S| across all tenants.",
 		func() uint64 { v4, _ := r.FoldedInterior(); return uint64(v4) })
 	reg.MustGaugeFunc("vrftab_folded_interior", `family="6"`, "Shared interior nodes |S| across all tenants.",
@@ -262,10 +279,9 @@ func (r *Registry) RegisterMetrics(reg *obs.Registry) {
 		tn := tn
 		labels := fmt.Sprintf("vrf=%q", fmt.Sprint(tn.ID))
 		reg.MustGaugeFunc("vrftab_tenant_blob_bytes", labels+`,family="4"`,
-			"Per-tenant attributable serving bytes (IPv4: published root windows; arena bytes are counted once in vrftab_shared_bytes).",
+			"Per-tenant attributable serving bytes: the published root windows before interning (what is resident is counted once, in vrftab_shared_bytes).",
 			func() uint64 { return uint64(tn.V4.SizeBytes()) })
-		reg.MustGaugeFunc("vrftab_tenant_blob_bytes", labels+`,family="6"`,
-			"Per-tenant attributable serving bytes (IPv6 blobs are tenant-private).",
+		reg.MustGaugeFunc("vrftab_tenant_blob_bytes", labels+`,family="6"`, "",
 			func() uint64 { return uint64(tn.V6.SizeBytes()) })
 	}
 }

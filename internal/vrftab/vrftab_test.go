@@ -136,38 +136,62 @@ func TestRegistryEquivalenceAndIsolation(t *testing.T) {
 	}
 }
 
-// TestSharedCollapse is the headline memory bar: the resident v4 blob
-// bytes of many near-identical tenants must stay under 3× a single
-// tenant's, where independent engines would cost ~tenants×.
+// TestSharedCollapse is the headline memory bar, per family: the
+// resident blob bytes of many near-identical tenants must stay under 3×
+// a single tenant's, where independent engines would cost ~tenants× —
+// and a family no tenant has a route in costs one interned root window,
+// not one per shard per tenant.
 func TestSharedCollapse(t *testing.T) {
-	// 16 shards keep the per-shard root windows fine-grained (512 B), so
-	// a tenant's few delta routes leave most windows bit-identical to
-	// its co-tenants' — those intern to zero bytes. The base must be
-	// large enough that node words dominate the root floor, as in any
-	// real table.
+	// 16 shards keep the per-shard root windows fine-grained (512 B at
+	// λ = 11, 1 KB at λ6 = 12), so a tenant's few delta routes leave
+	// most windows bit-identical to its co-tenants' — those intern to
+	// zero bytes. The base must be large enough that node words dominate
+	// the root floor, as in any real table.
 	const tenants, base, delta = 64, 6000, 4
-	single, err := shardfib.Build(tenantTable(t, 0, base, delta), 11, 16)
+	const window4, window6 = 4 << (11 - 4), 4 << (12 - 4) // bytes of one shard's root window
+	single4, err := shardfib.Build(tenantTable(t, 0, base, delta), 11, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	singleBytes := single.SizeBytes()
-
-	r := New(11, 12, 16)
-	for id := 1; id <= tenants; id++ {
-		if _, err := r.Add(uint16(id), tenantTable(t, id, base, delta), nil); err != nil {
-			t.Fatal(err)
-		}
+	single6, err := shardfib.Build6(tenantTable6(t, 0, base, delta), 12, 16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	shared := r.SharedBytes()
-	if shared == 0 {
-		t.Fatal("SharedBytes is zero with published tenants")
-	}
-	if shared >= 3*singleBytes {
-		t.Fatalf("%d near-identical tenants cost %d bytes, ≥ 3× single tenant (%d)", tenants, shared, singleBytes)
-	}
-	v4, _ := r.FoldedInterior()
-	if v4 == 0 {
-		t.Fatal("no folded interior nodes in the shared space")
+	for _, row := range []struct {
+		name   string
+		single int // a private engine of one tenant's table
+		empty  int // the other family, empty in every tenant
+		t4     func(id int) *fib.Table
+		t6     func(id int) *ip6.Table
+	}{
+		{"v4", single4.SizeBytes(), window6, func(id int) *fib.Table { return tenantTable(t, id, base, delta) }, func(int) *ip6.Table { return nil }},
+		{"v6", single6.SizeBytes(), window4, func(int) *fib.Table { return nil }, func(id int) *ip6.Table { return tenantTable6(t, id, base, delta) }},
+		{"empty", 0, window4 + window6, func(int) *fib.Table { return nil }, func(int) *ip6.Table { return nil }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			r := New(11, 12, 16)
+			for id := 1; id <= tenants; id++ {
+				if _, err := r.Add(uint16(id), row.t4(id), row.t6(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			shared := r.SharedBytes() - row.empty
+			if row.single == 0 {
+				if shared != 0 {
+					t.Fatalf("%d tenants without a route hold %d bytes beyond one window per family", tenants, shared)
+				}
+				return
+			}
+			if shared <= 0 {
+				t.Fatal("SharedBytes counts nothing of the published tenants")
+			}
+			if shared >= 3*row.single {
+				t.Fatalf("%d near-identical tenants cost %d bytes, ≥ 3× single tenant (%d)", tenants, shared, row.single)
+			}
+			if v4, v6 := r.FoldedInterior(); v4+v6 == 0 {
+				t.Fatal("no folded interior nodes in the shared spaces")
+			}
+		})
 	}
 }
 
@@ -275,7 +299,9 @@ func TestRegistryReloadRemoveCompact(t *testing.T) {
 		t.Fatal("removed tenant still resolves")
 	}
 	// Compact and verify every surviving tenant still answers right.
-	r.Compact()
+	if err := r.Compact(); err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range []uint16{1, 2, 4} {
 		f, _, ok := r.Resolve(id)
 		if !ok {
