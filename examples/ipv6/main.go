@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"fibcomp/internal/ip6"
+	"fibcomp/internal/trie"
 )
 
 func main() {
@@ -20,7 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lp := ip6.FromTable(table).LeafPush()
+	lp := (*trie.Trie)(ip6.FromTable(table)).LeafPush()
 	s := lp.LeafStats()
 	fmt.Printf("IPv6 FIB: %d prefixes, δ=%d, H0=%.3f\n", table.N(), s.Delta, s.H0)
 	fmt.Printf("bounds: I=%.1f KB, E=%.1f KB\n", s.InfoBound/8/1024, s.Entropy/8/1024)

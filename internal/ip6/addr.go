@@ -3,7 +3,9 @@
 // techniques could not be adapted to IPv6"): 128-bit addresses packed
 // into two machine words, a binary prefix trie with leaf-pushing, the
 // trie-folding prefix DAG with a leaf-push barrier, and the XBW-b
-// transform — all sharing the entropy machinery of the IPv4 packages.
+// transform. The trie, the DAG's update and the entropy machinery are
+// the IPv4 packages' own, over a 128-bit key; what is here reads an
+// IPv6 address: tables, their text form and the blob walkers.
 package ip6
 
 import (
@@ -12,6 +14,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"fibcomp/internal/trie"
 )
 
 // W is the IPv6 address width in bits.
@@ -23,18 +27,14 @@ const NoLabel uint32 = 0
 // MaxLabel bounds the next-hop alphabet.
 const MaxLabel uint32 = 255
 
-// Addr is a 128-bit address, big-endian across (Hi, Lo).
+// Addr is a 128-bit address, big-endian across (Hi, Lo): the layout of
+// trie.Key, so a conversion between the two is free.
 type Addr struct {
 	Hi, Lo uint64
 }
 
 // Bit extracts address bit q (0 = MSB of Hi), matching fib.Bit.
-func (a Addr) Bit(q int) uint32 {
-	if q < 64 {
-		return uint32(a.Hi >> uint(63-q) & 1)
-	}
-	return uint32(a.Lo >> uint(127-q) & 1)
-}
+func (a Addr) Bit(q int) uint32 { return trie.Key(a).Bit(q) }
 
 // WithBit returns a with bit q set.
 func (a Addr) WithBit(q int) Addr {
@@ -46,7 +46,9 @@ func (a Addr) WithBit(q int) Addr {
 	return a
 }
 
-// Mask returns the netmask of a prefix length.
+// Mask returns the netmask of a prefix length. It is written out here
+// rather than taken from trie.Key so that Table.LookupLinear, the
+// oracle the tries are checked against, shares no code with them.
 func Mask(plen int) Addr {
 	switch {
 	case plen <= 0:

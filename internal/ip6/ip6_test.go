@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fibcomp/internal/trie"
 )
 
 func TestParseAddr(t *testing.T) {
@@ -139,10 +141,10 @@ func TestLeafPushEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tb := randomTable6(rng, 200, 4)
 	tr := FromTable(tb)
-	lp := tr.LeafPush()
+	lp := (*trie.Trie)(tr).LeafPush()
 	for probe := 0; probe < 2000; probe++ {
 		addr := Addr{rng.Uint64(), rng.Uint64()}
-		if tr.Lookup(addr) != lp.Lookup(addr) {
+		if tr.Lookup(addr) != lp.LookupKey(trie.Key(addr)) {
 			t.Fatal("leaf-push changed forwarding")
 		}
 	}
@@ -260,7 +262,7 @@ func TestXBW6NearEntropy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp := FromTable(tb).LeafPush()
+	lp := (*trie.Trie)(FromTable(tb)).LeafPush()
 	s := lp.LeafStats()
 	x, err := NewXBW(tb)
 	if err != nil {

@@ -234,9 +234,10 @@ func TestSerializeIntoZeroAllocs(t *testing.T) {
 // FuzzLookup6 drives the IPv6 DAG with an arbitrary byte-encoded
 // update sequence at an arbitrary barrier, serializes it, and pins
 // the blob's scalar walk and interleaved batch lanes bit-identical to
-// the trie reference — the ip6 twin of the pdag fuzzers; a second
+// two references — the ip6 twin of the pdag fuzzers; a second
 // label-flip phase then republishes into the same buffer and
-// rechecks.
+// rechecks. The trie reference is the control trie's own code, so the
+// other shares none: a linear scan over the exact-prefix state.
 func FuzzLookup6(f *testing.F) {
 	f.Add([]byte{1, 48, 0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(16))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}, uint8(0))
@@ -248,6 +249,7 @@ func FuzzLookup6(f *testing.F) {
 			t.Fatal(err)
 		}
 		oracle := NewTrie()
+		exact := map[Entry]uint32{} // prefix (NextHop 0) → label
 		type rec struct {
 			addr  Addr
 			plen  int
@@ -267,8 +269,11 @@ func FuzzLookup6(f *testing.F) {
 			ops = ops[18:]
 			plen := int(plenRaw) % (W + 1)
 			a = Canonical(a, plen)
+			p := Entry{Addr: a, Len: plen}
 			if verb%3 == 0 {
-				if d.Delete(a, plen) != oracle.Delete(a, plen) {
+				_, present := exact[p]
+				delete(exact, p)
+				if got := d.Delete(a, plen); got != oracle.Delete(a, plen) || got != present {
 					t.Fatal("delete disagreement")
 				}
 			} else {
@@ -277,6 +282,7 @@ func FuzzLookup6(f *testing.F) {
 					t.Fatal(err)
 				}
 				oracle.Insert(a, plen, label)
+				exact[p] = label
 				sets = append(sets, rec{a, plen, label})
 			}
 			m := Mask(plen)
@@ -295,9 +301,17 @@ func FuzzLookup6(f *testing.F) {
 		}
 		dst := make([]uint32, len(probes))
 		check := func(phase string) {
+			replay := New()
+			for p, label := range exact {
+				p.NextHop = label
+				replay.Entries = append(replay.Entries, p)
+			}
 			b.LookupBatchInto(dst, probes)
 			for i, a := range probes {
-				want := oracle.Lookup(a)
+				want := replay.LookupLinear(a)
+				if got := oracle.Lookup(a); got != want {
+					t.Fatalf("λ=%d %s trie divergence at %s: %d != linear scan %d", lambda, phase, a, got, want)
+				}
 				if got := b.Lookup(a); got != want {
 					t.Fatalf("λ=%d %s scalar divergence at %s: %d != %d", lambda, phase, a, got, want)
 				}
@@ -313,6 +327,7 @@ func FuzzLookup6(f *testing.F) {
 				t.Fatal(err)
 			}
 			oracle.Insert(r.addr, r.plen, label)
+			exact[Entry{Addr: r.addr, Len: r.plen}] = label
 		}
 		if b, err = d.SerializeInto(b); err != nil {
 			t.Fatal(err)

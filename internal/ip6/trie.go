@@ -1,29 +1,19 @@
 package ip6
 
-import "fibcomp/internal/huffman"
+import "fibcomp/internal/trie"
 
-// Node is a binary trie node over the 128-bit space.
-type Node struct {
-	Left, Right *Node
-	Label       uint32
-}
+// Node is a control-trie node: IPv6 prefixes live in package trie's
+// one control trie, keyed by the 128-bit trie.Key an Addr converts to
+// for free.
+type Node = trie.Node
 
-// IsLeaf reports whether the node has no children.
-func (n *Node) IsLeaf() bool { return n.Left == nil && n.Right == nil }
-
-// Trie is a binary prefix tree over IPv6 addresses. Nodes pruned by
-// Delete are kept on an internal freelist and reused by later
-// Inserts, so steady route churn against a long-lived trie (the
-// control FIB of an ip6 prefix DAG) does not allocate — the same
-// contract as the IPv4 trie, and more valuable at W=128 where a
-// pruned path is up to four times longer.
-type Trie struct {
-	Root  *Node
-	arena arena
-}
+// Trie is the control trie over IPv6 prefixes: trie.Trie spelled with
+// Addr keys. (*trie.Trie)(t) is the same trie, for leaf-pushing,
+// statistics and the rest of its API.
+type Trie trie.Trie
 
 // NewTrie returns an empty trie.
-func NewTrie() *Trie { return &Trie{Root: &Node{}} }
+func NewTrie() *Trie { return (*Trie)(trie.New()) }
 
 // FromTable builds a trie from a table; later duplicates win.
 func FromTable(t *Table) *Trie {
@@ -34,276 +24,13 @@ func FromTable(t *Table) *Trie {
 	return tr
 }
 
-// Insert sets the label of prefix a/plen, drawing new path nodes from
-// the freelist Delete feeds.
+// Insert sets the label of prefix a/plen.
 func (t *Trie) Insert(a Addr, plen int, label uint32) {
-	n := t.Root
-	for q := 0; q < plen; q++ {
-		if a.Bit(q) == 0 {
-			if n.Left == nil {
-				n.Left = t.arena.node(NoLabel, nil, nil)
-			}
-			n = n.Left
-		} else {
-			if n.Right == nil {
-				n.Right = t.arena.node(NoLabel, nil, nil)
-			}
-			n = n.Right
-		}
-	}
-	n.Label = label
+	(*trie.Trie)(t).InsertKey(trie.Key(a), plen, label)
 }
 
-// Delete removes the label of a/plen, pruning empty chains into the
-// freelist, and reports whether it was present.
-func (t *Trie) Delete(a Addr, plen int) bool {
-	var pathBuf [W + 1]*Node // on-stack: Delete must not allocate
-	path := pathBuf[:0]
-	n := t.Root
-	path = append(path, n)
-	for q := 0; q < plen; q++ {
-		if a.Bit(q) == 0 {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-		if n == nil {
-			return false
-		}
-		path = append(path, n)
-	}
-	if n.Label == NoLabel {
-		return false
-	}
-	n.Label = NoLabel
-	for i := len(path) - 1; i > 0; i-- {
-		nd := path[i]
-		if !nd.IsLeaf() || nd.Label != NoLabel {
-			break
-		}
-		parent := path[i-1]
-		if parent.Left == nd {
-			parent.Left = nil
-		} else {
-			parent.Right = nil
-		}
-		t.arena.recycleOne(nd)
-	}
-	return true
-}
-
-// Get probes the exact prefix a/plen, returning its label or NoLabel
-// when absent — the no-op-update detector shardfib's batched IPv6
-// write path uses, same contract as the IPv4 trie's Get.
-func (t *Trie) Get(a Addr, plen int) uint32 {
-	n := t.Root
-	for q := 0; q < plen; q++ {
-		if a.Bit(q) == 0 {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-		if n == nil {
-			return NoLabel
-		}
-	}
-	return n.Label
-}
+// Delete removes the label of a/plen, reporting whether it was present.
+func (t *Trie) Delete(a Addr, plen int) bool { return (*trie.Trie)(t).DeleteKey(trie.Key(a), plen) }
 
 // Lookup performs longest prefix match in O(W).
-func (t *Trie) Lookup(addr Addr) uint32 {
-	best := NoLabel
-	n := t.Root
-	for q := 0; n != nil; q++ {
-		if n.Label != NoLabel {
-			best = n.Label
-		}
-		if q == W {
-			break
-		}
-		if addr.Bit(q) == 0 {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	return best
-}
-
-// Clone deep-copies the trie.
-func (t *Trie) Clone() *Trie { return &Trie{Root: cloneNode(t.Root)} }
-
-func cloneNode(n *Node) *Node {
-	if n == nil {
-		return nil
-	}
-	return &Node{Left: cloneNode(n.Left), Right: cloneNode(n.Right), Label: n.Label}
-}
-
-// LeafPush normalizes the trie into the proper leaf-labeled form, the
-// same procedure as the IPv4 trie package uses (§2).
-func (t *Trie) LeafPush() *Trie {
-	return &Trie{Root: mergeLeaves(pushDown(t.Root, NoLabel))}
-}
-
-// LeafPushNode normalizes a subtree with an inherited default label.
-func LeafPushNode(n *Node, def uint32) *Node {
-	return mergeLeaves(pushDown(n, def))
-}
-
-func pushDown(n *Node, inherited uint32) *Node {
-	if n == nil {
-		return &Node{Label: inherited}
-	}
-	cur := inherited
-	if n.Label != NoLabel {
-		cur = n.Label
-	}
-	if n.IsLeaf() {
-		return &Node{Label: cur}
-	}
-	return &Node{Left: pushDown(n.Left, cur), Right: pushDown(n.Right, cur)}
-}
-
-func mergeLeaves(n *Node) *Node {
-	if n == nil || n.IsLeaf() {
-		return n
-	}
-	n.Left = mergeLeaves(n.Left)
-	n.Right = mergeLeaves(n.Right)
-	if n.Left.IsLeaf() && n.Right.IsLeaf() && n.Left.Label == n.Right.Label {
-		return &Node{Label: n.Left.Label}
-	}
-	return n
-}
-
-// arena is a freelist of trie Nodes for the update hot path, the ip6
-// twin of trie.Arena: the §4.3 refresh leaf-pushes a scratch copy of
-// a control sub-trie on every Set/Delete at or below the barrier, and
-// drawing those nodes from a free chain (linked through Left) keeps
-// steady-state IPv6 churn off the heap. Not safe for concurrent use;
-// each DAG owns one under its writer's exclusion.
-type arena struct {
-	free *Node
-}
-
-// node pops a node off the free chain (or allocates the first time
-// through) and initializes it.
-func (a *arena) node(label uint32, l, r *Node) *Node {
-	n := a.free
-	if n == nil {
-		return &Node{Label: label, Left: l, Right: r}
-	}
-	a.free = n.Left
-	n.Label, n.Left, n.Right = label, l, r
-	return n
-}
-
-// recycleOne pushes a single node onto the free chain.
-func (a *arena) recycleOne(n *Node) {
-	n.Left, n.Right, n.Label = a.free, nil, NoLabel
-	a.free = n
-}
-
-// recycle returns a whole scratch subtree to the arena. Only trees
-// built from this arena's nodes may be recycled.
-func (a *arena) recycle(n *Node) {
-	for n != nil {
-		r := n.Right
-		a.recycle(n.Left)
-		a.recycleOne(n)
-		n = r
-	}
-}
-
-// leafPushWithDefault is the arena-backed leaf_push(u, l): the proper
-// leaf-labeled scratch copy of the subtree with an inherited default
-// label, every node drawn from the arena. The caller recycles the
-// result once it has been consumed.
-func (a *arena) leafPushWithDefault(n *Node, def uint32) *Node {
-	return a.mergeLeaves(a.pushDown(n, def))
-}
-
-func (a *arena) pushDown(n *Node, inherited uint32) *Node {
-	if n == nil {
-		return a.node(inherited, nil, nil)
-	}
-	cur := inherited
-	if n.Label != NoLabel {
-		cur = n.Label
-	}
-	if n.IsLeaf() {
-		return a.node(cur, nil, nil)
-	}
-	l := a.pushDown(n.Left, cur)
-	r := a.pushDown(n.Right, cur)
-	return a.node(NoLabel, l, r)
-}
-
-// mergeLeaves collapses parents of identically-labeled leaf pairs
-// bottom-up, in place, sending merged-away leaves straight back to
-// the arena.
-func (a *arena) mergeLeaves(n *Node) *Node {
-	if n == nil || n.IsLeaf() {
-		return n
-	}
-	n.Left = a.mergeLeaves(n.Left)
-	n.Right = a.mergeLeaves(n.Right)
-	if n.Left.IsLeaf() && n.Right.IsLeaf() && n.Left.Label == n.Right.Label {
-		label := n.Left.Label
-		a.recycleOne(n.Left)
-		a.recycleOne(n.Right)
-		n.Left, n.Right, n.Label = nil, nil, label
-	}
-	return n
-}
-
-// Stats carries the §2 compressibility metrics for the IPv6 trie.
-type Stats struct {
-	Nodes     int
-	Leaves    int
-	Delta     int
-	H0        float64
-	InfoBound float64
-	Entropy   float64
-}
-
-// LeafStats measures a normalized trie; it panics on a trie that is
-// not proper leaf-labeled.
-func (t *Trie) LeafStats() Stats {
-	var s Stats
-	freq := map[uint32]uint64{}
-	var walk func(n *Node) bool
-	walk = func(n *Node) bool {
-		if n == nil {
-			return false
-		}
-		s.Nodes++
-		if n.IsLeaf() {
-			s.Leaves++
-			freq[n.Label]++
-			return true
-		}
-		if n.Label != NoLabel || n.Left == nil || n.Right == nil {
-			return false
-		}
-		return walk(n.Left) && walk(n.Right)
-	}
-	if !walk(t.Root) {
-		panic("ip6: LeafStats requires a leaf-pushed trie")
-	}
-	for l := range freq {
-		if l != NoLabel {
-			s.Delta++
-		}
-	}
-	s.H0 = huffman.Entropy(freq)
-	n := float64(s.Leaves)
-	lg := 0
-	for v := len(freq) - 1; v > 0; v >>= 1 {
-		lg++
-	}
-	s.InfoBound = 2*n + n*float64(lg)
-	s.Entropy = 2*n + n*s.H0
-	return s
-}
+func (t *Trie) Lookup(a Addr) uint32 { return (*trie.Trie)(t).LookupKey(trie.Key(a)) }

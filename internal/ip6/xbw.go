@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fibcomp/internal/bitvec"
+	"fibcomp/internal/trie"
 	"fibcomp/internal/wavelet"
 )
 
@@ -20,7 +21,7 @@ type XBW struct {
 
 // NewXBW builds the succinct representation of an IPv6 table.
 func NewXBW(t *Table) (*XBW, error) {
-	lp := FromTable(t).LeafPush()
+	lp := (*trie.Trie)(FromTable(t)).LeafPush()
 	var si []bool
 	var sa []uint32
 	queue := []*Node{lp.Root}

@@ -8,8 +8,10 @@ import (
 )
 
 // FuzzUpdateSequence drives the DAG update machinery with an arbitrary
-// byte-encoded operation sequence and cross-checks against the plain
-// trie oracle — a fuzz-shaped version of the update storm test.
+// byte-encoded operation sequence and cross-checks against two
+// oracles — a fuzz-shaped version of the update storm test. The plain
+// trie is the control trie's own code, so the second oracle shares
+// none: a linear scan over the exact-prefix state the sequence leaves.
 func FuzzUpdateSequence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 1}, uint8(11))
 	f.Add([]byte{1, 12, 10, 0, 2, 3, 0, 12, 10, 0}, uint8(0))
@@ -21,6 +23,8 @@ func FuzzUpdateSequence(f *testing.F) {
 			t.Fatal(err)
 		}
 		oracle := trie.New()
+		exact := map[fib.Entry]uint32{} // prefix (NextHop 0) → label
+		var probes []uint32
 		// Each op consumes 6 bytes: verb, plen, 4 addr bytes. The
 		// label derives from the verb byte.
 		for len(ops) >= 6 {
@@ -29,8 +33,12 @@ func FuzzUpdateSequence(f *testing.F) {
 			ops = ops[6:]
 			plen := int(plenRaw) % 33
 			addr &= fib.Mask(plen)
+			p := fib.Entry{Addr: addr, Len: plen}
+			probes = append(probes, addr, addr|^fib.Mask(plen))
 			if verb%3 == 0 {
-				if d.Delete(addr, plen) != oracle.Delete(addr, plen) {
+				_, present := exact[p]
+				delete(exact, p)
+				if got := d.Delete(addr, plen); got != oracle.Delete(addr, plen) || got != present {
 					t.Fatal("delete disagreement")
 				}
 			} else {
@@ -39,13 +47,23 @@ func FuzzUpdateSequence(f *testing.F) {
 					t.Fatal(err)
 				}
 				oracle.Insert(addr, plen, label)
+				exact[p] = label
 			}
 		}
-		// Probe a deterministic spread of the address space.
+		replay := fib.New()
+		for p, label := range exact {
+			p.NextHop = label
+			replay.Entries = append(replay.Entries, p)
+		}
+		// Probe every prefix's first and last address, and a
+		// deterministic spread of the address space.
 		for i := uint32(0); i < 64; i++ {
-			a := i*0x04000001 + 0x00010001
-			if d.Lookup(a) != oracle.Lookup(a) {
-				t.Fatalf("divergence at %08x", a)
+			probes = append(probes, i*0x04000001+0x00010001)
+		}
+		for _, a := range probes {
+			want := replay.LookupLinear(a)
+			if d.Lookup(a) != want || oracle.Lookup(a) != want {
+				t.Fatalf("divergence at %08x: dag %d, trie %d, linear scan %d", a, d.Lookup(a), oracle.Lookup(a), want)
 			}
 		}
 	})

@@ -14,8 +14,6 @@
 package pdag
 
 import (
-	"fmt"
-
 	"fibcomp/internal/fib"
 	"fibcomp/internal/trie"
 )
@@ -51,13 +49,12 @@ type Node struct {
 	kind        byte
 }
 
-// Region is the width-agnostic half of a prefix DAG: the plain mirror
-// above the barrier, the folded region below it — the sub-trie index
-// S, the leaf table lp and their reference counts (§4.1) — and its
-// serialized form (§5.3). Nothing in it reads an address. What keeps a
-// region in step with a control trie is a descent that knows the key
-// width: DAG for 32 bits, ip6.DAG for 128, both over the exported
-// operations Up, Leaf, Cons, Split, Drop and DropUp.
+// Region is the half of a prefix DAG that never reads an address: the
+// plain mirror above the barrier, the folded region below it — the
+// sub-trie index S, the leaf table lp and their reference counts
+// (§4.1) — and its serialized form (§5.3). What keeps a region in step
+// with a control trie is the Descent, over the operations up, leaf,
+// cons, split, drop and dropUp.
 type Region struct {
 	// Width is the depth of the address space in bits: 32 for IPv4
 	// FIBs, 128 for IPv6, lg n for the string-compression model of §4.2.
@@ -90,10 +87,10 @@ type Region struct {
 	freeNode *Node
 }
 
-// NewRegion returns an empty region of the given key width and
+// newRegion returns an empty region of the given key width and
 // barrier, folding into sp when that is non-nil (the caller then holds
 // the space lock) and into maps of its own otherwise.
-func NewRegion(sp *Space, width, lambda int) Region {
+func newRegion(sp *Space, width, lambda int) Region {
 	r := Region{Width: width, Lambda: lambda, space: sp}
 	if sp != nil {
 		r.sub, r.leaves = sp.sub, sp.leaves
@@ -103,26 +100,14 @@ func NewRegion(sp *Space, width, lambda int) Region {
 	return r
 }
 
-// Root is the node at depth 0: an up node, or when λ = 0 a folded one.
-func (d *Region) Root() *Node { return d.root }
-
-// SetRoot installs the node at depth 0.
-func (d *Region) SetRoot(n *Node) { d.root = n }
-
-// DAG is a compressed IPv4 FIB: a region, its control FIB and the
-// 32-bit descent (§4.3) between them.
+// DAG is a compressed IPv4 FIB: the descent over 32-bit keys, plus
+// the flat v2 serializer and the string model of §4.2.
 type DAG struct {
-	Region
-
-	control *trie.Trie
+	*Descent
 
 	// The v2 serializer's word watermark and stride-expansion buffer.
 	serialWatermark uint32
 	serialExps      []strideExp
-
-	// scratch is the arena the temporary leaf-pushed control copies
-	// are drawn from.
-	scratch trie.Arena
 
 	symOffset uint32 // string mode: symbol s stored as label s+1
 }
@@ -130,14 +115,14 @@ type DAG struct {
 // Build constructs a prefix DAG from a FIB table with leaf-push
 // barrier lambda.
 func Build(t *fib.Table, lambda int) (*DAG, error) {
-	return FromTrie(trie.FromTable(t), lambda)
+	return fromTrie(nil, trie.FromTable(t), lambda)
 }
 
 // FromTrie constructs a prefix DAG from a binary prefix trie (not
 // necessarily proper or leaf-pushed, per §4.1). The trie is cloned
 // into the DAG's control FIB; the caller keeps ownership of t.
 func FromTrie(t *trie.Trie, lambda int) (*DAG, error) {
-	return FromTrieShared(nil, t, lambda)
+	return fromTrie(nil, t.Clone(), lambda)
 }
 
 // FromTrieShared is FromTrie folding into a shared space: the DAG's
@@ -146,49 +131,15 @@ func FromTrie(t *trie.Trie, lambda int) (*DAG, error) {
 // space-wide counter so cons keys never collide across members. The
 // caller must hold the space lock. A nil space folds privately.
 func FromTrieShared(sp *Space, t *trie.Trie, lambda int) (*DAG, error) {
-	if lambda < 0 || lambda > fib.W {
-		return nil, fmt.Errorf("pdag: barrier λ=%d out of range [0,%d]", lambda, fib.W)
-	}
-	d := &DAG{Region: NewRegion(sp, fib.W, lambda), control: t.Clone()}
-	d.root = d.buildUp(d.control.Root, 0)
-	return d, nil
+	return fromTrie(sp, t.Clone(), lambda)
 }
 
-// buildUp mirrors the control trie above the barrier and folds every
-// λ-level sub-trie (trie_fold of §4.1).
-func (d *DAG) buildUp(cn *trie.Node, depth int) *Node {
-	if cn == nil {
-		return nil
+func fromTrie(sp *Space, control *trie.Trie, lambda int) (*DAG, error) {
+	d, err := NewDescent(sp, control, fib.W, lambda)
+	if err != nil {
+		return nil, err
 	}
-	if depth == d.Lambda {
-		return d.foldPushed(cn, fib.NoLabel)
-	}
-	n := d.Up()
-	n.Label = cn.Label
-	n.Left = d.buildUp(cn.Left, depth+1)
-	n.Right = d.buildUp(cn.Right, depth+1)
-	return n
-}
-
-// foldPushed leaf-pushes the control subtree into arena scratch, folds
-// the copy into the DAG, and recycles the scratch.
-func (d *DAG) foldPushed(cn *trie.Node, def uint32) *Node {
-	tmp := d.scratch.LeafPushWithDefault(cn, def)
-	res := d.fold(tmp)
-	d.scratch.Recycle(tmp)
-	return res
-}
-
-// fold compresses a proper leaf-labeled trie bottom-up into the DAG
-// (the compress routine of §4.1) and returns the canonical shared
-// node, carrying one reference for the caller.
-func (d *DAG) fold(tn *trie.Node) *Node {
-	if tn.IsLeaf() {
-		return d.Leaf(tn.Label)
-	}
-	l := d.fold(tn.Left)
-	r := d.fold(tn.Right)
-	return d.Cons(l, r)
+	return &DAG{Descent: d}, nil
 }
 
 // freeChain is the chain dead nodes are recycled through: the space's
@@ -222,17 +173,17 @@ func (d *Region) recycleNode(n *Node) {
 	*free = n
 }
 
-// Up returns a fresh unlabeled plain node for the mirror above the
+// up returns a fresh unlabeled plain node for the mirror above the
 // barrier; the descent fills in its label and children.
-func (d *Region) Up() *Node {
+func (d *Region) up() *Node {
 	n := d.newNode()
 	n.kind = kindUp
 	return n
 }
 
-// Leaf returns the coalesced leaf for a label (lp(s)), creating it on
+// leaf returns the coalesced leaf for a label (lp(s)), creating it on
 // first use, and takes one reference.
-func (d *Region) Leaf(label uint32) *Node {
+func (d *Region) leaf(label uint32) *Node {
 	if n, ok := d.leaves[label]; ok {
 		n.ref++
 		return n
@@ -243,21 +194,21 @@ func (d *Region) Leaf(label uint32) *Node {
 	return n
 }
 
-// Cons returns the canonical interior node with children (l, r) —
+// cons returns the canonical interior node with children (l, r) —
 // put(i, j, v) of §4.1. It consumes one reference of each child and
 // returns a node carrying one reference for the caller. A node whose
 // children are the same coalesced leaf normalizes to that leaf,
 // maintaining the leaf-pushed normal form under updates.
-func (d *Region) Cons(l, r *Node) *Node {
+func (d *Region) cons(l, r *Node) *Node {
 	if l == r && l.kind == kindLeaf {
-		d.Drop(r) // two references in, one (on the leaf itself) out
+		d.drop(r) // two references in, one (on the leaf itself) out
 		return l
 	}
 	key := [2]uint64{l.id, r.id}
 	if n, ok := d.sub[key]; ok {
 		n.ref++
-		d.Drop(l)
-		d.Drop(r)
+		d.drop(l)
+		d.drop(r)
 		return n
 	}
 	n := d.newNode()
@@ -266,15 +217,15 @@ func (d *Region) Cons(l, r *Node) *Node {
 	return n
 }
 
-// Split decompresses one level of the folded region for a descent
+// split decompresses one level of the folded region for a descent
 // passing through v: it returns v's children, each holding a reference
 // for the caller while it re-parents them. A coalesced leaf that
 // bottomed the region out early expands into two references to itself
 // — its label is the in-force label of the whole subtree, right for
 // the untouched sibling half. v's own reference stays the caller's.
-func (d *Region) Split(v *Node) (l, r *Node) {
+func (d *Region) split(v *Node) (l, r *Node) {
 	if v.kind == kindLeaf {
-		return d.Leaf(v.Label), d.Leaf(v.Label)
+		return d.leaf(v.Label), d.leaf(v.Label)
 	}
 	v.Left.ref++
 	v.Right.ref++
@@ -308,10 +259,10 @@ func (d *Region) bumpEpoch() {
 	d.serialEpoch++
 }
 
-// Drop releases one reference to a folded node — get(i, j) of §4.1 —
+// drop releases one reference to a folded node — get(i, j) of §4.1 —
 // deleting the node and dereferencing its children when the count
 // reaches zero. Nil and up nodes are ignored.
-func (d *Region) Drop(n *Node) {
+func (d *Region) drop(n *Node) {
 	if n == nil || n.kind == kindUp {
 		return
 	}
@@ -330,25 +281,25 @@ func (d *Region) Drop(n *Node) {
 	}
 	l, r := n.Left, n.Right
 	d.recycleNode(n)
-	d.Drop(l)
-	d.Drop(r)
+	d.drop(l)
+	d.drop(r)
 }
 
-// DropUp releases an abandoned subtree of the plain mirror,
+// dropUp releases an abandoned subtree of the plain mirror,
 // dereferencing every folded sub-trie hanging below it and recycling
 // the plain nodes.
-func (d *Region) DropUp(n *Node) {
+func (d *Region) dropUp(n *Node) {
 	if n == nil {
 		return
 	}
 	if n.kind != kindUp {
-		d.Drop(n)
+		d.drop(n)
 		return
 	}
 	l, r := n.Left, n.Right
 	d.recycleNode(n)
-	d.DropUp(l)
-	d.DropUp(r)
+	d.dropUp(l)
+	d.dropUp(r)
 }
 
 // Release drops every folded reference the plain region holds,
@@ -358,59 +309,26 @@ func (d *Region) DropUp(n *Node) {
 // Called under the space lock; harmless (and unnecessary) for a
 // private region.
 func (d *Region) Release() {
-	d.DropUp(d.root)
+	d.dropUp(d.root)
 	d.root = nil
 }
 
-// Lookup performs longest prefix match: follow the path traced by the
-// address bits and return the last label found (§4.1). Folded leaves
-// with the empty label fall through to whatever label was in force
-// above the barrier, which is why trie_fold clears lp(⊥). O(W).
-func (d *DAG) Lookup(addr uint32) uint32 {
-	best := fib.NoLabel
-	n := d.root
-	for q := 0; n != nil; q++ {
-		if n.Label != fib.NoLabel {
-			best = n.Label
-		}
-		if q == d.Width {
-			break
-		}
-		if fib.Bit(addr, q) == 0 {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	return best
+// Set inserts or changes the association for IPv4 prefix addr/plen
+// (the update of §4.3, see Descent.SetKey).
+func (d *DAG) Set(addr uint32, plen int, label uint32) error {
+	return d.SetKey(trie.V4(addr), plen, label)
 }
+
+// Delete removes the association for IPv4 prefix addr/plen, reporting
+// whether it was present.
+func (d *DAG) Delete(addr uint32, plen int) bool { return d.DeleteKey(trie.V4(addr), plen) }
+
+// Lookup performs longest prefix match on an IPv4 address.
+func (d *DAG) Lookup(addr uint32) uint32 { label, _ := d.LookupKey(trie.V4(addr)); return label }
 
 // LookupSteps is Lookup instrumented with the number of pointer
 // dereferences, for the depth statistics of Table 2.
-func (d *DAG) LookupSteps(addr uint32) (label uint32, steps int) {
-	best := fib.NoLabel
-	n := d.root
-	for q := 0; n != nil; q++ {
-		steps++
-		if n.Label != fib.NoLabel {
-			best = n.Label
-		}
-		if q == d.Width {
-			break
-		}
-		if fib.Bit(addr, q) == 0 {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	return best, steps
-}
-
-// Control exposes the control FIB. Callers must treat it as
-// read-only; all mutations must go through Set and Delete so the DAG
-// stays in sync.
-func (d *DAG) Control() *trie.Trie { return d.control }
+func (d *DAG) LookupSteps(addr uint32) (label uint32, steps int) { return d.LookupKey(trie.V4(addr)) }
 
 // FoldedInterior reports the number of shared interior nodes (|S|).
 func (d *Region) FoldedInterior() int { return len(d.sub) }

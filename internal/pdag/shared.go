@@ -10,8 +10,8 @@ import (
 
 // Space is a shared hash-cons universe: the sub-trie index S and the
 // leaf table lp of §4.1 lifted out of one DAG and spanned across many.
-// Every region made with a space (FromTrieShared, ip6.FromTrieShared)
-// folds into the same two maps, so an isomorphic labeled sub-trie
+// Every descent made with a space (NewDescent, FromTrieShared) folds
+// into the same two maps, so an isomorphic labeled sub-trie
 // appearing in any number of member DAGs — the shards of one engine,
 // or every tenant table of a registry — is stored exactly once. A
 // space never reads an address: its members are all of one key width,

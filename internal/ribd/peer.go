@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fibcomp/internal/fib"
-	"fibcomp/internal/ip6"
 )
 
 // Graceful restart. A peer that identifies itself by name ("hello
@@ -195,46 +194,15 @@ func (p *Plane) handleCtl(c ctl) {
 // sweep withdraws the peer's owned routes: all of them (timer expiry)
 // or only the ones not refreshed by the current incarnation (the
 // end-of-RIB delta purge). The withdrawals land in the ordinary
-// pending maps and are published by the same paced flush as any other
+// pending map and are published by the same paced flush as any other
 // update.
 func (p *Plane) sweep(ps *peerState, all bool) {
-	for key, rec := range p.owners {
+	for r, rec := range p.owners {
 		if rec.ps != ps || (!all && rec.gen == ps.gen) {
 			continue
 		}
-		s := p.eng.ShardOf(uint32(key >> 6))
-		m := p.pending[s]
-		if m == nil {
-			m = make(map[uint64]uint32)
-			p.pending[s] = m
-		}
-		if _, dup := m[key]; dup {
-			p.coalesced.Add(1)
-		} else {
-			p.npending++
-		}
-		m[key] = fib.NoLabel
-		delete(p.owners, key)
-		ps.routes.Add(-1)
-		p.swept.Add(1)
-	}
-	for key, rec := range p.owners6 {
-		if rec.ps != ps || (!all && rec.gen == ps.gen) {
-			continue
-		}
-		s := p.eng6.ShardOf(ip6.Addr{Hi: key.hi, Lo: key.lo})
-		m := p.pending6[s]
-		if m == nil {
-			m = make(map[key6]uint32)
-			p.pending6[s] = m
-		}
-		if _, dup := m[key]; dup {
-			p.coalesced.Add(1)
-		} else {
-			p.npending++
-		}
-		m[key] = ip6.NoLabel
-		delete(p.owners6, key)
+		p.pend(r, fib.NoLabel)
+		delete(p.owners, r)
 		ps.routes.Add(-1)
 		p.swept.Add(1)
 	}
@@ -248,47 +216,25 @@ type ownerRec struct {
 	gen uint64
 }
 
-// own records ownership of a v4 prefix key: an announce from a named
-// peer claims it, a withdrawal or an anonymous overwrite releases it.
-func (p *Plane) own(key uint64, src *peerState, withdraw bool) {
+// own records ownership of a route: an announce from a named peer
+// claims it, a withdrawal or an anonymous overwrite releases it.
+func (p *Plane) own(r route, src *peerState, withdraw bool) {
 	if src == nil && len(p.owners) == 0 {
 		return // nothing tracked, nothing to release — the common anonymous case
 	}
-	if prev, ok := p.owners[key]; ok {
+	if prev, ok := p.owners[r]; ok {
 		if !withdraw && src == prev.ps {
-			p.owners[key] = ownerRec{src, src.gen} // refresh the mark
+			p.owners[r] = ownerRec{src, src.gen} // refresh the mark
 			return
 		}
 		prev.ps.routes.Add(-1)
-		delete(p.owners, key)
+		delete(p.owners, r)
 	}
 	if src != nil && !withdraw {
 		if p.owners == nil {
-			p.owners = make(map[uint64]ownerRec)
+			p.owners = make(map[route]ownerRec)
 		}
-		p.owners[key] = ownerRec{src, src.gen}
-		src.routes.Add(1)
-	}
-}
-
-// own6 is own for the IPv6 ownership map.
-func (p *Plane) own6(key key6, src *peerState, withdraw bool) {
-	if src == nil && len(p.owners6) == 0 {
-		return
-	}
-	if prev, ok := p.owners6[key]; ok {
-		if !withdraw && src == prev.ps {
-			p.owners6[key] = ownerRec{src, src.gen}
-			return
-		}
-		prev.ps.routes.Add(-1)
-		delete(p.owners6, key)
-	}
-	if src != nil && !withdraw {
-		if p.owners6 == nil {
-			p.owners6 = make(map[key6]ownerRec)
-		}
-		p.owners6[key] = ownerRec{src, src.gen}
+		p.owners[r] = ownerRec{src, src.gen}
 		src.routes.Add(1)
 	}
 }

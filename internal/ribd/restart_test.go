@@ -249,6 +249,41 @@ func TestImmediateSweepWithoutGrace(t *testing.T) {
 	}
 }
 
+// TestSweepCountsPending: sweep-generated withdrawals wait in the
+// pending map like received updates and are counted by the pending
+// gauge, so between a sweep and the paced flush that publishes it the
+// scrape-time law Received + Swept = Coalesced + Applied + Pending
+// holds.
+func TestSweepCountsPending(t *testing.T) {
+	eng := testEngine(t, 4)
+	p := New(eng, Options{RestartTime: -1, MinInterval: 5 * time.Second})
+	defer p.Close()
+	s, err := Serve(p, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	c, b := helloPeer(t, s, "G", false)
+	for i := 0; i < 10; i++ {
+		fmt.Fprintf(c, "announce 10.%d.0.0/16 7\n", i)
+	}
+	b.sync(t, c, "up")
+	c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Stats().Swept < 10 {
+		if time.Now().After(deadline) {
+			t.Fatal("routes not swept on session loss with RestartTime < 0")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	st, pending := p.Stats(), uint64(p.Pending())
+	if pending != 10 || st.Received+st.Swept != st.Coalesced+st.Applied+pending {
+		t.Fatalf("received %d + swept %d != coalesced %d + applied %d + pending %d (want 10 pending)",
+			st.Received, st.Swept, st.Coalesced, st.Applied, pending)
+	}
+}
+
 // TestIdleTimeoutResets: a silent peer is reset with a counted
 // timeout instead of pinning its goroutine.
 func TestIdleTimeoutResets(t *testing.T) {

@@ -7,7 +7,7 @@
 //     format ("announce 10.1.0.0/16 3" / "withdraw 10.1.0.0/16"),
 //     with per-peer sequence tracking and a sync barrier verb;
 //   - a coalescing queue: every accepted update lands in the pending
-//     map of its owning shard, keyed by prefix, squashing redundant
+//     map, keyed by family and prefix, squashing redundant
 //     churn — repeated announces of a prefix, announce-then-withdraw
 //     — so a burst costs one DAG mutation per distinct prefix no
 //     matter how hot the feed;
@@ -22,7 +22,7 @@
 //     visible to lookups within MaxStaleness plus one flush duration,
 //     the plane's staleness bound.
 //
-// One goroutine (the flusher) owns the pending maps, so the hot
+// One goroutine (the flusher) owns the pending map, so the hot
 // ingest path is a channel send and the steady-state flush cycle
 // reuses every buffer it needs: with the engine's double-buffered
 // snapshots this keeps continuous churn at zero allocations per
@@ -39,6 +39,7 @@ import (
 	"fibcomp/internal/ip6"
 	"fibcomp/internal/obs"
 	"fibcomp/internal/shardfib"
+	"fibcomp/internal/trie"
 )
 
 // Options tunes the plane. The zero value is ready to use.
@@ -54,7 +55,7 @@ type Options struct {
 	// an idle plane publishes immediately.
 	MinInterval time.Duration
 	// MaxPending flushes early once this many distinct prefixes are
-	// pending, bounding the coalescing maps' footprint regardless of
+	// pending, bounding the coalescing map's footprint regardless of
 	// pacing. Default DefaultMaxPending.
 	MaxPending int
 	// Queue is the ingest channel depth; sessions enqueueing into a
@@ -106,8 +107,8 @@ func (o Options) withDefaults() Options {
 // Stats is a point-in-time snapshot of the plane's counters. The
 // conservation law Received + Swept = Coalesced + Applied +
 // (still pending) holds at every barrier: sweep-generated withdrawals
-// enter the pending maps like any received update and are published
-// by the same flushes.
+// enter the pending map like any received update and are published by
+// the same flushes.
 type Stats struct {
 	Received    uint64 `json:"received"`     // updates accepted into the plane
 	Coalesced   uint64 `json:"coalesced"`    // updates squashed into an already-pending prefix
@@ -147,11 +148,12 @@ var sessionPool = sync.Pool{New: func() any {
 	return &s
 }}
 
-// key6 identifies one IPv6 prefix in the coalescing maps: the
-// canonical 128-bit address plus the prefix length.
-type key6 struct {
-	hi, lo uint64
-	plen   uint8
+// route identifies one prefix of either family in the coalescing and
+// ownership maps: the canonical key, the prefix length and the family.
+type route struct {
+	k    trie.Key
+	plen uint8
+	v6   bool
 }
 
 // Plane is the live route-update plane over one sharded engine per
@@ -173,11 +175,9 @@ type Plane struct {
 	done chan struct{}
 	stop sync.Once
 
-	// Flusher-owned state: the per-shard coalescing maps (prefix key
-	// → pending label, fib.NoLabel = withdraw) for each family, their
-	// combined size, and the reusable flush batches.
-	pending   []map[uint64]uint32
-	pending6  []map[key6]uint32
+	// Flusher-owned state: the coalescing map (route → pending label,
+	// fib.NoLabel = withdraw), its size, and the reusable flush batches.
+	pending   map[route]uint32
 	npending  int
 	ops       []shardfib.Op
 	ops6      []shardfib.Op6
@@ -189,8 +189,7 @@ type Plane struct {
 	// each installed prefix (and under which session incarnation),
 	// plus the per-peer backlog absorbed since the last flush. See
 	// peer.go.
-	owners     map[uint64]ownerRec
-	owners6    map[key6]ownerRec
+	owners     map[route]ownerRec
 	absorbedBy map[*peerState]int
 
 	// The named-peer registry, shared with sessions.
@@ -249,12 +248,9 @@ func NewDual(eng *shardfib.FIB, eng6 *shardfib.FIB6, opts Options) *Plane {
 		in:         make(chan item, opts.Queue),
 		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
-		pending:    make([]map[uint64]uint32, eng.Shards()),
+		pending:    make(map[route]uint32),
 		absorbedBy: make(map[*peerState]int),
 		lastEnd:    time.Now(),
-	}
-	if eng6 != nil {
-		p.pending6 = make([]map[key6]uint32, eng6.Shards())
 	}
 	go p.run()
 	return p
@@ -338,7 +334,7 @@ func (p *Plane) Close() error {
 }
 
 // Pending reports the number of distinct prefixes currently waiting
-// in the coalescing maps (0 at every Sync barrier).
+// in the coalescing map (0 at every Sync barrier).
 func (p *Plane) Pending() int { return int(p.pendingN.Load()) }
 
 // RegisterMetrics registers the plane's counters, the pending gauge
@@ -361,7 +357,7 @@ func (p *Plane) RegisterMetrics(r *obs.Registry) {
 	r.MustCounterFunc("ribd_apply_errors_total", "", "Engine errors during a flush.", p.applyErrors.Load)
 	r.MustCounterFunc("ribd_swept_total", "", "Stale-route withdrawals from graceful-restart sweeps.", p.swept.Load)
 	r.MustCounterFunc("ribd_shed_total", "", "Sessions reset for exceeding their peer backlog budget.", p.shed.Load)
-	r.MustGaugeFunc("ribd_pending", "", "Distinct prefixes waiting in the coalescing maps.",
+	r.MustGaugeFunc("ribd_pending", "", "Distinct prefixes waiting in the coalescing map.",
 		func() uint64 { return uint64(p.pendingN.Load()) })
 	r.MustHistogram("ribd_flush_seconds", "", "Flush span: pending-map drain plus both families' ApplyBatch.", m.flushSeconds)
 	r.MustHistogram("ribd_staleness_seconds", "", "Realized pacing gap between consecutive flushes.", m.staleness)
@@ -383,7 +379,7 @@ func (p *Plane) Stats() Stats {
 }
 
 // run is the flusher: the single goroutine that owns the pending
-// maps, absorbs the ingest channel and paces the publishes.
+// map, absorbs the ingest channel and paces the publishes.
 func (p *Plane) run() {
 	defer close(p.done)
 	timer := time.NewTimer(time.Hour)
@@ -502,7 +498,7 @@ func (p *Plane) interval() time.Duration {
 	return iv
 }
 
-// absorb folds one ingest item into the pending maps; a control item
+// absorb folds one ingest item into the pending map; a control item
 // runs the peer lifecycle; a barrier item runs any pending end-of-RIB
 // sweep, forces a flush of everything before it and signals its
 // waiter.
@@ -536,82 +532,47 @@ func (p *Plane) absorb(it item) {
 	p.absorbUpdate(it.u, it.src)
 }
 
-// absorbUpdate validates and coalesces one update into the pending
-// map of its owning shard (the low covering shard for prefixes
-// shorter than the shard index), dispatching on the update's family.
-// src attributes the update to a named peer for route ownership and
-// backlog settlement.
+// absorbUpdate validates one update against its family's width and
+// coalesces it into the pending map. A v6 update on a v4-only plane is
+// rejected — the session stays up (the line parsed), the counter
+// records the drop. src attributes the update to a named peer for route
+// ownership and backlog settlement.
 func (p *Plane) absorbUpdate(u gen.Update, src *peerState) {
 	if src != nil {
 		p.absorbedBy[src]++
 	}
+	width, k := fib.W, trie.V4(u.Addr)
 	if u.V6 {
-		p.absorbUpdate6(u, src)
-		return
+		width, k = ip6.W, trie.Key(u.Addr6)
 	}
-	if u.Len < 0 || u.Len > fib.W ||
+	if (u.V6 && p.eng6 == nil) || u.Len < 0 || u.Len > width ||
 		(!u.Withdraw && (u.NextHop == fib.NoLabel || u.NextHop > fib.MaxLabel)) {
 		p.rejected.Add(1)
 		return
 	}
 	p.received.Add(1)
-	addr := u.Addr & fib.Mask(u.Len)
-	key := uint64(addr)<<6 | uint64(u.Len)
-	s := p.eng.ShardOf(addr)
-	m := p.pending[s]
-	if m == nil {
-		m = make(map[uint64]uint32)
-		p.pending[s] = m
+	r, label := route{k.Masked(u.Len), uint8(u.Len), u.V6}, u.NextHop
+	if u.Withdraw {
+		label = fib.NoLabel
 	}
-	if _, dup := m[key]; dup {
+	p.pend(r, label)
+	p.own(r, src, u.Withdraw)
+}
+
+// pend coalesces one op into the pending map — the one way an update,
+// received or swept, comes to wait for a flush.
+func (p *Plane) pend(r route, label uint32) {
+	if _, dup := p.pending[r]; dup {
 		p.coalesced.Add(1)
 	} else {
 		p.npending++
 		p.pendingN.Add(1)
 	}
-	if u.Withdraw {
-		m[key] = fib.NoLabel
-	} else {
-		m[key] = u.NextHop
-	}
-	p.own(key, src, u.Withdraw)
+	p.pending[r] = label
 }
 
-// absorbUpdate6 is the IPv6 arm of absorbUpdate: same validation and
-// coalescing, against the v6 engine's shard map. A v6 update on a
-// v4-only plane is rejected — the session stays up (the line parsed),
-// the counter records the drop.
-func (p *Plane) absorbUpdate6(u gen.Update, src *peerState) {
-	if p.eng6 == nil || u.Len < 0 || u.Len > ip6.W ||
-		(!u.Withdraw && (u.NextHop == ip6.NoLabel || u.NextHop > ip6.MaxLabel)) {
-		p.rejected.Add(1)
-		return
-	}
-	p.received.Add(1)
-	addr := ip6.Canonical(u.Addr6, u.Len)
-	key := key6{hi: addr.Hi, lo: addr.Lo, plen: uint8(u.Len)}
-	s := p.eng6.ShardOf(addr)
-	m := p.pending6[s]
-	if m == nil {
-		m = make(map[key6]uint32)
-		p.pending6[s] = m
-	}
-	if _, dup := m[key]; dup {
-		p.coalesced.Add(1)
-	} else {
-		p.npending++
-		p.pendingN.Add(1)
-	}
-	if u.Withdraw {
-		m[key] = ip6.NoLabel
-	} else {
-		m[key] = u.NextHop
-	}
-	p.own6(key, src, u.Withdraw)
-}
-
-// flush converts the pending maps into one ApplyBatch — one DAG
-// mutation per distinct pending prefix, one republish per touched
+// flush converts the pending map into one ApplyBatch per family — one
+// DAG mutation per distinct pending prefix, one republish per touched
 // shard, one merged-view rebuild — and resets the coalescing state.
 // Map iteration order is immaterial: distinct prefixes commute, and
 // per-prefix ordering was already resolved by the map itself.
@@ -630,49 +591,23 @@ func (p *Plane) flush() {
 		// update could have waited beyond the previous publish.
 		met.staleness.Observe(uint64(start.Sub(p.lastEnd)))
 	}
-	ops := p.ops[:0]
-	for _, m := range p.pending {
-		for key, label := range m {
-			ops = append(ops, shardfib.Op{
-				Addr:  uint32(key >> 6),
-				Len:   int(key & 63),
-				Label: label,
-			})
+	ops, ops6 := p.ops[:0], p.ops6[:0]
+	for r, label := range p.pending {
+		if r.v6 {
+			ops6 = append(ops6, shardfib.Op6{Addr: ip6.Addr(r.k), Len: int(r.plen), Label: label})
+		} else {
+			ops = append(ops, shardfib.Op{Addr: uint32(r.k.Hi >> 32), Len: int(r.plen), Label: label})
 		}
-		clear(m)
 	}
+	clear(p.pending)
+	// Both families share this flush's pacing sample.
 	if len(ops) > 0 {
-		m, err := p.eng.ApplyBatch(ops)
-		if err != nil {
-			// absorbUpdate validated every update, so this is
-			// unreachable; count it rather than crash the plane if it
-			// ever fires.
-			p.applyErrors.Add(1)
-		}
-		p.mutated.Add(uint64(m))
-	}
-	p.ops = ops
-	// The IPv6 arm: same one-ApplyBatch-per-flush shape against the
-	// v6 engine; both arms share this flush's pacing sample.
-	ops6 := p.ops6[:0]
-	for _, m := range p.pending6 {
-		for key, label := range m {
-			ops6 = append(ops6, shardfib.Op6{
-				Addr:  ip6.Addr{Hi: key.hi, Lo: key.lo},
-				Len:   int(key.plen),
-				Label: label,
-			})
-		}
-		clear(m)
+		p.count(p.eng.ApplyBatch(ops))
 	}
 	if len(ops6) > 0 {
-		m6, err := p.eng6.ApplyBatch(ops6)
-		if err != nil {
-			p.applyErrors.Add(1)
-		}
-		p.mutated.Add(uint64(m6))
+		p.count(p.eng6.ApplyBatch(ops6))
 	}
-	p.ops6 = ops6
+	p.ops, p.ops6 = ops, ops6
 	p.applied.Add(uint64(len(ops) + len(ops6)))
 	p.flushes.Add(1)
 	p.lastBatch = len(ops) + len(ops6)
@@ -684,4 +619,14 @@ func (p *Plane) flush() {
 	if met != nil {
 		met.flushSeconds.Observe(uint64(p.lastDur))
 	}
+}
+
+// count records one engine's ApplyBatch result. absorbUpdate validated
+// every update, so an error is unreachable; count it rather than crash
+// the plane if it ever fires.
+func (p *Plane) count(mutated int, err error) {
+	if err != nil {
+		p.applyErrors.Add(1)
+	}
+	p.mutated.Add(uint64(mutated))
 }

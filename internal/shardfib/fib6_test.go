@@ -8,6 +8,7 @@ import (
 
 	"fibcomp/internal/ip6"
 	"fibcomp/internal/obs"
+	"fibcomp/internal/trie"
 )
 
 func testTable6(t *testing.T, n int, seed int64) *ip6.Table {
@@ -130,7 +131,7 @@ func TestApplyBatch6Equivalence(t *testing.T) {
 								real++
 							}
 						} else {
-							if serial.dags[serial.ShardOf(op.Addr)].Control().Get(op.Addr, op.Len) != op.Label {
+							if serial.shards[serial.ShardOf(op.Addr)].dag.Control().GetKey(trie.Key(op.Addr), op.Len) != op.Label {
 								real++
 							}
 							if err := serial.Set(op.Addr, op.Len, op.Label); err != nil {

@@ -27,12 +27,14 @@
 // shard re-emitted into an array recycled from the generation before
 // last.
 //
-// All of that is one shell, the engine, which never reads an address:
-// the folded region, its arena and its serialized words are the same
-// for both families (pdag.Region). FIB and FIB6 embed it and add what
-// knows the key width — the partition of a table, the §4.3 descent
-// behind ApplyBatch, and the hand-specialised walkers behind Lookup and
-// the Views.
+// All of that is one engine for both families. Its shards are §4.3
+// descents (pdag.Descent) over the 128-bit trie.Key, an IPv4 address in
+// the top 32 bits, so the partition of a table, the fold, ApplyBatch's
+// validate-group-probe-patch-publish loop and Reload are written once,
+// over (key, length, label). FIB and FIB6 embed it and add only what
+// reads an address of their width: the conversion of their addresses
+// to keys, and the hand-specialised walkers behind Lookup and the
+// Views.
 //
 // Sharding preserves longest-prefix-match exactly: every prefix of an
 // address addr shares addr's top bits, so the shard owning addr holds
@@ -69,18 +71,18 @@ const DefaultShards = 16
 const MaxLambda = 16
 
 // shard is one slice of the address space. cur is the published
-// immutable snapshot; region is the folded half of the writer-owned
-// mutable prefix DAG (the family holds the DAG itself, with its control
-// trie), guarded by mu together with the right to publish — and by the
-// space lock every writer takes first. spare (same guards) is the
-// snapshot retired by the previous publish: once no reader or merged
-// view pins it, the next publish serializes into its buffers in place,
-// so steady-churn republishing is double-buffered and allocation-free.
-// staged is a snapshot serialized but not yet published.
+// immutable snapshot; dag is the writer-owned mutable prefix DAG with
+// its control trie, guarded by mu together with the right to publish —
+// and by the space lock every writer takes first. spare (same guards)
+// is the snapshot retired by the previous publish: once no reader or
+// merged view pins it, the next publish serializes into its buffers in
+// place, so steady-churn republishing is double-buffered and
+// allocation-free. staged is a snapshot serialized but not yet
+// published.
 type shard struct {
 	mu     sync.Mutex
 	idx    int // this shard's index — names its root window
-	region *pdag.Region
+	dag    *pdag.Descent
 	spare  *snapshot
 	staged *snapshot
 	cur    atomic.Pointer[snapshot]
@@ -144,7 +146,7 @@ func (sh *shard) stage(e *engine) error {
 		}
 		next = &snapshot{}
 	}
-	blob, err := sh.region.SerializeShared(buf, sh.idx, e.shardBits)
+	blob, err := sh.dag.SerializeShared(buf, sh.idx, e.shardBits)
 	if err != nil {
 		return err
 	}
@@ -188,13 +190,14 @@ type combined struct {
 
 func (c *combined) unpin() { c.readers.Add(-1) }
 
-// engine is the family-blind shell FIB and FIB6 embed: shards,
+// engine is what FIB and FIB6 embed: shards and their descents,
 // snapshots, the merged view and its double buffer, the arena and its
-// generations, sizes and instruments. Nothing in it reads an address.
+// generations, the write path, sizes and instruments.
 type engine struct {
 	family    uint8 // 4 or 6, for trace events and metric labels
+	width     int   // the family's address width W, in key bits
 	shardBits int   // k
-	shift     uint  // key >> shift selects the shard: W-k for IPv4, 64-k on Addr.Hi for IPv6
+	shift     uint  // the walkers' address >> shift selects the shard: W-k for IPv4, 64-k on Addr.Hi for IPv6
 	lambda    int
 	shards    []shard
 
@@ -230,22 +233,40 @@ type engine struct {
 	combFree  *combined
 
 	// applyMu serializes ApplyBatch callers over the per-shard
-	// grouping scratch (the family's, and applyTouched), so steady
-	// batched churn reuses one set of buffers instead of allocating
-	// per batch.
+	// grouping scratch, so steady batched churn reuses one set of
+	// buffers instead of allocating per batch.
 	applyMu      sync.Mutex
 	applyTouched []int
+	applyScratch [][]op
 
 	// ins is the optional telemetry hook (see Instruments); nil costs
 	// the write path one pointer load per batch.
 	ins atomic.Pointer[Instruments]
 }
 
-// setup validates the geometry and sets the shell up for `shards`
-// shards of a keyBits-wide index word, folding into sp or, when that is
-// nil, into an arena of the engine's own. A barrier outside
-// [k, MaxLambda] has no merged root to serve from and is rejected.
-func (e *engine) setup(family uint8, keyBits int, sp *pdag.Space, lambda, shards int) error {
+// op is one route update in the engine's key: set prefix k/plen to
+// label, or withdraw it when label is fib.NoLabel. It is Op and Op6 in
+// one form, and a table entry when the engine reads a table.
+type op struct {
+	k     trie.Key
+	plen  int
+	label uint32
+}
+
+// routes is a table or a batch as the engine reads it: n ops, the i-th
+// at(i) — the family's entries converted to keys where they lie, so
+// reading them copies and allocates nothing.
+type routes struct {
+	n  int
+	at func(i int) op
+}
+
+// build sets the engine up for `shards` shards of a width-bit key,
+// partitions t into their control tries and folds each, into sp or,
+// when that is nil, into an arena of the engine's own, then publishes
+// them. A barrier outside [k, MaxLambda] has no merged root to serve
+// from and is rejected.
+func (e *engine) build(family uint8, width int, sp *pdag.Space, lambda, shards int, t routes) error {
 	if shards < 1 || shards > MaxShards || shards&(shards-1) != 0 {
 		return fmt.Errorf("shardfib: shard count %d not a power of two in [1,%d]", shards, MaxShards)
 	}
@@ -253,8 +274,8 @@ func (e *engine) setup(family uint8, keyBits int, sp *pdag.Space, lambda, shards
 	if lambda < k || lambda > MaxLambda {
 		return fmt.Errorf("shardfib: barrier λ=%d outside [log2(shards)=%d, %d]", lambda, k, MaxLambda)
 	}
-	e.family, e.shardBits, e.shift, e.lambda = family, k, uint(keyBits-k), lambda
-	e.shards = make([]shard, shards)
+	e.family, e.width, e.shardBits, e.shift, e.lambda = family, width, k, uint(min(width, 64)-k), lambda
+	e.shards, e.applyScratch = make([]shard, shards), make([][]op, shards)
 	for i := range e.shards {
 		e.shards[i].idx = i
 	}
@@ -262,14 +283,18 @@ func (e *engine) setup(family uint8, keyBits int, sp *pdag.Space, lambda, shards
 	if e.space, e.own = sp, sp == nil; e.own {
 		e.space = pdag.NewArena(e.windows)
 	}
-	return nil
-}
-
-// start publishes a freshly folded engine for the first time: an own
-// arena begins its first generation now that the fold has said how
-// large it must be. Called under the space lock; on error the regions
-// give their nodes back to the space.
-func (e *engine) start() error {
+	e.space.Lock()
+	defer e.space.Unlock()
+	for i, tr := range e.partition(t) {
+		d, err := pdag.NewDescent(e.space, tr, width, lambda)
+		if err != nil {
+			return err
+		}
+		e.shards[i].dag = d
+	}
+	// The first publish: an own arena begins its first generation now
+	// that the fold has said how large it must be. On error the shards
+	// give their nodes back to the space.
 	if e.own {
 		e.space.Compact()
 	}
@@ -277,14 +302,34 @@ func (e *engine) start() error {
 	for i := range all {
 		all[i] = i
 	}
-	_, _, err := e.emit(all)
-	if err != nil {
+	if _, _, err := e.emit(all); err != nil {
 		for i := range e.shards {
-			e.shards[i].region.Release()
+			e.shards[i].dag.Release()
+		}
+		return err
+	}
+	return nil
+}
+
+// partition routes every entry into the control trie of each shard it
+// covers. Later duplicates win, matching trie.FromTable.
+func (e *engine) partition(t routes) []*trie.Trie {
+	tries := make([]*trie.Trie, len(e.shards))
+	for i := range tries {
+		tries[i] = trie.New()
+	}
+	for i := 0; i < t.n; i++ {
+		r := t.at(i)
+		lo, hi := e.covering(e.shardOf(r.k), r.plen)
+		for s := lo; s <= hi; s++ {
+			tries[s].InsertKey(r.k, r.plen, r.label)
 		}
 	}
-	return err
+	return tries
 }
+
+// shardOf reports the shard index owning a key: its top k bits.
+func (e *engine) shardOf(k trie.Key) int { return int(k.Hi >> (64 - uint(e.shardBits))) }
 
 // covering reports the inclusive shard range [lo, hi] a prefix of
 // length plen beginning in shard lo intersects: one shard when
@@ -507,41 +552,178 @@ func (e *engine) record(ins *Instruments, start time.Time, ev obs.TraceEvent) {
 	ins.Trace.Record(ev)
 }
 
-// publishBatch closes an ApplyBatch once every touched shard is
-// patched: the space then knows how many nodes the whole batch created
-// when it rules on compaction — which republishes every shard, so such
-// a batch's trace event carries Dirty == Shards == 2^k.
-func (e *engine) publishBatch(ins *Instruments, start time.Time, ops, touched int, dirty []int, mutated int) error {
+// apply is ApplyBatch for both families: it applies a batch of updates
+// with one republish per *changed shard* and one merged-view rebuild
+// per *batch* — the one write path, which the ribd coalescing plane
+// drives with bursts (B updates landing in the same shard cost B cheap
+// DAG patches and a single emission) and Set/Delete with one op. Ops
+// are validated up front against the family's width (an invalid op
+// fails the whole batch before any shard is mutated) and applied in
+// order, so two ops on the same prefix resolve to the later one.
+//
+// No-op updates — a re-announcement of the exact route already
+// installed, or a withdrawal of an absent prefix — are detected
+// against the shard's control FIB (an O(plen) exact-match walk) and
+// skipped before the §4.3 patch machinery runs; a shard whose ops all
+// turn out to be no-ops is not republished at all. Real BGP feeds are
+// dominated by such redundant churn (a flapping peer re-announcing
+// its table), so this is where the coalescing plane's "one DAG
+// mutation per changed prefix" promise is enforced against engine
+// state, not just within a batch. The returned count is the number of
+// updates that actually mutated a shard.
+//
+// Concurrent lookups are never blocked; each shard's readers flip to
+// the new routes the moment the final rebuild lands. An error after
+// validation means the patched table no longer fits one arena
+// generation: readers keep the view of before the batch, and the
+// routes go out with the next batch that does fit.
+func (e *engine) apply(ops routes) (int, error) {
+	for i := 0; i < ops.n; i++ {
+		o := ops.at(i)
+		if o.plen < 0 || o.plen > e.width {
+			return 0, fmt.Errorf("shardfib: prefix length %d out of range [0,%d]", o.plen, e.width)
+		}
+		if o.label > fib.MaxLabel {
+			return 0, fmt.Errorf("shardfib: label %d out of range [1,%d]", o.label, fib.MaxLabel)
+		}
+	}
+	if ops.n == 0 {
+		return 0, nil
+	}
+	e.space.Lock()
+	defer e.space.Unlock()
+	e.applyMu.Lock()
+	defer e.applyMu.Unlock()
+	touched := e.applyTouched[:0]
+	for i := 0; i < ops.n; i++ {
+		o := ops.at(i)
+		o.k = o.k.Masked(o.plen)
+		lo, hi := e.covering(e.shardOf(o.k), o.plen)
+		for s := lo; s <= hi; s++ {
+			if len(e.applyScratch[s]) == 0 {
+				touched = append(touched, s)
+			}
+			e.applyScratch[s] = append(e.applyScratch[s], o)
+		}
+	}
+	e.applyTouched = touched
+	e.reclaim()
+	ins, start := e.begin()
+	mutated, dirty := 0, touched[:0]
+	var firstErr error
+	for _, s := range touched {
+		sh := &e.shards[s]
+		sh.mu.Lock()
+		d, changed := sh.dag, false
+		for _, o := range e.applyScratch[s] {
+			if o.label == fib.NoLabel {
+				if !d.DeleteKey(o.k, o.plen) {
+					continue
+				}
+			} else if d.Control().GetKey(o.k, o.plen) == o.label {
+				continue
+			} else if err := d.SetKey(o.k, o.plen, o.label); err != nil {
+				// Unreachable after the validation pass; if it ever
+				// fires, finish publishing so readers still see a
+				// consistent (partially applied) view.
+				if firstErr == nil {
+					firstErr = err
+				}
+				continue
+			}
+			changed = true
+			// Every covering shard holds the same exact-prefix state
+			// (partition and every write path touch all of them), so
+			// counting a replicated short-prefix op only in its owning
+			// shard keeps mutated ≤ len(ops) — one count per logical
+			// route change, not per replica.
+			if e.shardOf(o.k) == s {
+				mutated++
+			}
+		}
+		sh.mu.Unlock()
+		e.applyScratch[s] = e.applyScratch[s][:0]
+		if changed {
+			dirty = append(dirty, s) // in place: dirty trails the read index
+		}
+	}
+	// Publish once every touched shard is patched: the space then knows
+	// how many nodes the whole batch created when it rules on
+	// compaction — which republishes every shard, so such a batch's
+	// trace event carries Dirty == Shards == 2^k.
 	npub, pubBytes := 0, int64(0)
-	var err error
 	if len(dirty) > 0 {
-		npub, pubBytes, err = e.emit(dirty)
-		touched = max(touched, npub)
+		var err error
+		if npub, pubBytes, err = e.emit(dirty); firstErr == nil {
+			firstErr = err
+		}
 	}
 	e.record(ins, start, obs.TraceEvent{
 		Kind:    obs.TraceApplyBatch,
-		Shards:  int32(touched),
+		Shards:  int32(max(len(touched), npub)),
 		Dirty:   int32(npub),
-		Ops:     int32(ops),
+		Ops:     int32(ops.n),
 		Mutated: int32(mutated),
 		Bytes:   pubBytes,
 	})
+	return mutated, firstErr
+}
+
+// set and delete are the one-op batches behind the families' Set and
+// Delete.
+func (e *engine) set(k trie.Key, plen int, label uint32) error {
+	if label == fib.NoLabel {
+		return fmt.Errorf("shardfib: label %d out of range [1,%d]", label, fib.MaxLabel)
+	}
+	_, err := e.apply(routes{1, func(int) op { return op{k, plen, label} }})
 	return err
 }
 
-// reloadShard swaps shard i's folded region for next and publishes it;
-// on error the shard keeps region and snapshot as they were and next's
+func (e *engine) delete(k trie.Key, plen int) bool {
+	n, _ := e.apply(routes{1, func(int) op { return op{k: k, plen: plen} }})
+	return n > 0
+}
+
+// reload atomically replaces the whole table shard by shard — the
+// hot-reload path behind fibserve's SIGHUP. Lookups proceed
+// throughout; each shard flips to the new table's routes the moment its
+// publish lands in the merged view. On error the shards not yet
+// reached keep the old table, writer and readers alike.
+func (e *engine) reload(t routes) error {
+	ins, start := e.begin()
+	e.space.Lock()
+	defer e.space.Unlock()
+	for i, tr := range e.partition(t) {
+		d, err := pdag.NewDescent(e.space, tr, e.width, e.lambda)
+		if err != nil {
+			return err
+		}
+		if err := e.reloadShard(i, d); err != nil {
+			return err
+		}
+	}
+	e.record(ins, start, obs.TraceEvent{
+		Kind:   obs.TraceReload,
+		Shards: int32(len(e.shards)),
+		Dirty:  int32(len(e.shards)),
+		Bytes:  int64(e.SizeBytes()),
+	})
+	return nil
+}
+
+// reloadShard swaps shard i's descent for next and publishes it; on
+// error the shard keeps descent and snapshot as they were and next's
 // nodes go back to the space. Called under the space lock.
-func (e *engine) reloadShard(i int, next *pdag.Region) error {
+func (e *engine) reloadShard(i int, next *pdag.Descent) error {
 	sh := &e.shards[i]
 	sh.mu.Lock()
-	old := sh.region
-	sh.region = next
+	old := sh.dag
+	sh.dag = next
 	sh.mu.Unlock()
 	e.reclaim()
 	if _, _, err := e.emit([]int{i}); err != nil {
 		sh.mu.Lock()
-		sh.region = old
+		sh.dag = old
 		sh.mu.Unlock()
 		next.Release()
 		return err
@@ -550,16 +732,6 @@ func (e *engine) reloadShard(i int, next *pdag.Region) error {
 	// old table does not pin its subtrees forever.
 	old.Release()
 	return nil
-}
-
-// recordReload closes a Reload's span.
-func (e *engine) recordReload(ins *Instruments, start time.Time) {
-	e.record(ins, start, obs.TraceEvent{
-		Kind:   obs.TraceReload,
-		Shards: int32(len(e.shards)),
-		Dirty:  int32(len(e.shards)),
-		Bytes:  int64(e.SizeBytes()),
-	})
 }
 
 // ModelBytes reports the summed §4.2 model size of the shard DAGs.
@@ -574,7 +746,7 @@ func (e *engine) ModelBytes() int {
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
-		st := sh.region.Stats()
+		st := sh.dag.Stats()
 		sh.mu.Unlock()
 		total += st.ModelBits
 		if i > 0 {
@@ -607,12 +779,8 @@ func (e *engine) Arena() (resident, live int, compactions uint64) {
 }
 
 // FIB is a sharded, concurrently-updatable compressed IPv4 FIB: the
-// engine, plus the 32-bit descent and walkers.
-type FIB struct {
-	engine
-	dags         []*pdag.DAG // the shards' writer DAGs; dags[i].Region is shards[i].region
-	applyScratch [][]Op
-}
+// engine over IPv4 keys, plus the 32-bit walkers.
+type FIB struct{ engine }
 
 // Build partitions a FIB table into `shards` prefix DAGs (a power of
 // two in [1, MaxShards]) folded with leaf-push barrier lambda ∈
@@ -631,39 +799,18 @@ func Build(t *fib.Table, lambda, shards int) (*FIB, error) {
 // (data-plane reads are never blocked). A nil space is Build.
 func BuildShared(sp *pdag.Space, t *fib.Table, lambda, shards int) (*FIB, error) {
 	f := &FIB{}
-	if err := f.setup(4, fib.W, sp, lambda, shards); err != nil {
-		return nil, err
-	}
-	f.dags, f.applyScratch = make([]*pdag.DAG, shards), make([][]Op, shards)
-	f.space.Lock()
-	defer f.space.Unlock()
-	for i, tr := range f.partition(t) {
-		d, err := pdag.FromTrieShared(f.space, tr, lambda)
-		if err != nil {
-			return nil, err
-		}
-		f.dags[i], f.shards[i].region = d, &d.Region
-	}
-	if err := f.start(); err != nil {
+	if err := f.build(4, fib.W, sp, lambda, shards, table4(t)); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// partition routes every table entry into the trie of each shard it
-// covers. Later duplicates win, matching trie.FromTable.
-func (f *FIB) partition(t *fib.Table) []*trie.Trie {
-	tries := make([]*trie.Trie, len(f.shards))
-	for i := range tries {
-		tries[i] = trie.New()
-	}
-	for _, e := range t.Entries {
-		lo, hi := f.covering(f.ShardOf(e.Addr), e.Len)
-		for s := lo; s <= hi; s++ {
-			tries[s].Insert(e.Addr, e.Len, e.NextHop)
-		}
-	}
-	return tries
+// table4 reads an IPv4 table as the engine's routes.
+func table4(t *fib.Table) routes {
+	return routes{len(t.Entries), func(i int) op {
+		e := &t.Entries[i]
+		return op{trie.V4(e.Addr), e.Len, e.NextHop}
+	}}
 }
 
 // ShardOf reports the shard index owning an address.
@@ -713,19 +860,12 @@ func (f *FIB) LookupBatchInto(dst, addrs []uint32) {
 // with a single atomic view swap. Concurrent lookups are never
 // blocked; they read the previous view until the swap.
 func (f *FIB) Set(addr uint32, plen int, label uint32) error {
-	if label == fib.NoLabel {
-		return fmt.Errorf("shardfib: label %d out of range [1,%d]", label, fib.MaxLabel)
-	}
-	_, err := f.ApplyBatch([]Op{{Addr: addr, Len: plen, Label: label}})
-	return err
+	return f.set(trie.V4(addr), plen, label)
 }
 
 // Delete removes the association for prefix addr/plen from every
 // covering shard, reporting whether it was present.
-func (f *FIB) Delete(addr uint32, plen int) bool {
-	n, _ := f.ApplyBatch([]Op{{Addr: addr, Len: plen, Label: fib.NoLabel}})
-	return n > 0
-}
+func (f *FIB) Delete(addr uint32, plen int) bool { return f.delete(trie.V4(addr), plen) }
 
 // Op is one route-update operation in the engine's own vocabulary:
 // set prefix Addr/Len to Label, or withdraw it when Label is
@@ -737,128 +877,22 @@ type Op struct {
 	Label uint32
 }
 
-// ApplyBatch applies a batch of updates with one republish per
-// *changed shard* and one merged-view rebuild per *batch* — the one
-// write path, which the ribd coalescing plane drives with bursts (B
-// updates landing in the same shard cost B cheap DAG patches and a
-// single emission) and Set/Delete with one op. Ops are validated up
-// front (an invalid op fails the whole batch before any shard is
-// mutated) and applied in order, so two ops on the same prefix resolve
-// to the later one.
-//
-// No-op updates — a re-announcement of the exact route already
-// installed, or a withdrawal of an absent prefix — are detected
-// against the shard's control FIB (an O(plen) exact-match walk) and
-// skipped before the §4.3 patch machinery runs; a shard whose ops all
-// turn out to be no-ops is not republished at all. Real BGP feeds are
-// dominated by such redundant churn (a flapping peer re-announcing
-// its table), so this is where the coalescing plane's "one DAG
-// mutation per changed prefix" promise is enforced against engine
-// state, not just within a batch. The returned count is the number of
-// updates that actually mutated a shard.
-//
-// Concurrent lookups are never blocked; as with Set, each shard's
-// readers flip to the new routes the moment the final rebuild lands.
-// An error after validation means the patched table no longer fits one
-// arena generation: readers keep the view of before the batch, and the
-// routes go out with the next batch that does fit.
+// ApplyBatch applies a batch of IPv4 updates: validated all or
+// nothing, no-ops squashed against the shards' control FIBs, every
+// touched shard patched, then one emission and one merged-view
+// rebuild. It returns the number of updates that actually mutated a
+// shard. An error after validation means the patched table no longer
+// fits one arena generation: readers keep the view of before the
+// batch, and the routes go out with the next batch that does fit.
 func (f *FIB) ApplyBatch(ops []Op) (int, error) {
-	for _, op := range ops {
-		if op.Len < 0 || op.Len > fib.W {
-			return 0, fmt.Errorf("shardfib: prefix length %d out of range [0,%d]", op.Len, fib.W)
-		}
-		if op.Label > fib.MaxLabel {
-			return 0, fmt.Errorf("shardfib: label %d out of range [1,%d]", op.Label, fib.MaxLabel)
-		}
-	}
-	if len(ops) == 0 {
-		return 0, nil
-	}
-	f.space.Lock()
-	defer f.space.Unlock()
-	f.applyMu.Lock()
-	defer f.applyMu.Unlock()
-	touched := f.applyTouched[:0]
-	for _, op := range ops {
-		op.Addr &= fib.Mask(op.Len)
-		lo, hi := f.covering(f.ShardOf(op.Addr), op.Len)
-		for s := lo; s <= hi; s++ {
-			if len(f.applyScratch[s]) == 0 {
-				touched = append(touched, s)
-			}
-			f.applyScratch[s] = append(f.applyScratch[s], op)
-		}
-	}
-	f.applyTouched = touched
-	f.reclaim()
-	ins, start := f.begin()
-	mutated, dirty := 0, touched[:0]
-	var firstErr error
-	for _, s := range touched {
-		sh, d := &f.shards[s], f.dags[s]
-		sh.mu.Lock()
-		changed := false
-		for _, op := range f.applyScratch[s] {
-			// Every covering shard holds the same exact-prefix state
-			// (partition and every write path touch all of them), so
-			// counting a replicated short-prefix op only in its
-			// owning shard keeps mutated ≤ len(ops) — one count per
-			// logical route change, not per replica.
-			owner := f.ShardOf(op.Addr) == s
-			if op.Label == fib.NoLabel {
-				if d.Delete(op.Addr, op.Len) {
-					changed = true
-					if owner {
-						mutated++
-					}
-				}
-			} else if d.Control().Get(op.Addr, op.Len) != op.Label {
-				if err := d.Set(op.Addr, op.Len, op.Label); err != nil {
-					// Unreachable after the validation pass; if it
-					// ever fires, finish publishing so readers still
-					// see a consistent (partially applied) view.
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					changed = true
-					if owner {
-						mutated++
-					}
-				}
-			}
-		}
-		sh.mu.Unlock()
-		f.applyScratch[s] = f.applyScratch[s][:0]
-		if changed {
-			dirty = append(dirty, s) // in place: dirty trails the read index
-		}
-	}
-	if err := f.publishBatch(ins, start, len(ops), len(touched), dirty, mutated); firstErr == nil {
-		firstErr = err
-	}
-	return mutated, firstErr
+	return f.apply(routes{len(ops), func(i int) op {
+		o := &ops[i]
+		return op{trie.V4(o.Addr), o.Len, o.Label}
+	}})
 }
 
 // Reload atomically replaces the whole FIB shard by shard from a
 // fresh table — the hot-reload path behind fibserve's SIGHUP. Lookups
-// proceed throughout; each shard flips to the new table's routes the
-// moment its publish lands in the merged view. On error the shards not
-// yet reached keep the old table, writer and readers alike.
-func (f *FIB) Reload(t *fib.Table) error {
-	ins, start := f.begin()
-	f.space.Lock()
-	defer f.space.Unlock()
-	for i, tr := range f.partition(t) {
-		d, err := pdag.FromTrieShared(f.space, tr, f.lambda)
-		if err != nil {
-			return err
-		}
-		if err := f.reloadShard(i, &d.Region); err != nil {
-			return err
-		}
-		f.dags[i] = d
-	}
-	f.recordReload(ins, start)
-	return nil
-}
+// proceed throughout; on error the shards not yet reached keep the old
+// table, writer and readers alike.
+func (f *FIB) Reload(t *fib.Table) error { return f.reload(table4(t)) }

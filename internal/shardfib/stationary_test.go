@@ -226,11 +226,11 @@ func TestStationaryUnderChurn(t *testing.T) {
 		}
 	}
 	tab6 := testTable6(t, 3000, 34)
-	orig6 := ip6.FromTable(tab6)
+	orig6 := (*trie.Trie)(ip6.FromTable(tab6))
 	for _, cfg := range []struct{ lambda, shards int }{{11, 4}, {16, 16}} {
 		t.Run(fmt.Sprintf("v6/lambda=%d/shards=%d/bgp", cfg.lambda, cfg.shards), func(t *testing.T) {
 			us := thereAndBack(gen.BGPUpdates6(rand.New(rand.NewSource(32)), tab6, batches/6*size),
-				func(u gen.Update) uint32 { return orig6.Get(u.Addr6, u.Len) })
+				func(u gen.Update) uint32 { return orig6.GetKey(trie.Key(u.Addr6), u.Len) })
 			stationary(t, func() churned { return newChurned6(t, tab6, cfg.lambda, cfg.shards, us) }, us, size, 8)
 		})
 	}

@@ -3,6 +3,11 @@
 // the leaf-pushing normalization that turns it into the proper,
 // binary, leaf-labeled trie on which the paper's entropy bounds and
 // both compressors (XBW-b and trie-folding) are defined.
+//
+// One trie serves every address width: it is keyed by a 128-bit Key,
+// an IPv4 address sitting in the top 32 bits, and the §2 walks read the
+// key only through Key.Bit. The uint32 methods are the IPv4 spelling of
+// the Key ones.
 package trie
 
 import (
@@ -11,6 +16,43 @@ import (
 
 	"fibcomp/internal/fib"
 )
+
+// keyBits is the width of a Key: the deepest a prefix can reach.
+const keyBits = 128
+
+// Key is an address of up to 128 bits, big-endian across (Hi, Lo).
+// A narrower address occupies the top bits (V4), so Hi>>(64-k) is an
+// address's top k bits whatever its width.
+type Key struct {
+	Hi, Lo uint64
+}
+
+// V4 is the key of an IPv4 address.
+func V4(addr uint32) Key { return Key{Hi: uint64(addr) << 32} }
+
+// Bit extracts key bit q (0 = MSB of Hi), matching fib.Bit on V4 keys.
+// Written as a select and a masked shift, it compiles to a conditional
+// move and one bit test, with no branch.
+func (k Key) Bit(q int) uint32 {
+	w := k.Hi
+	if q >= 64 {
+		w = k.Lo
+	}
+	return uint32(w>>(uint(63-q)&63)) & 1
+}
+
+// Masked clears the bits of k below its first plen.
+func (k Key) Masked(plen int) Key {
+	switch {
+	case plen <= 0:
+		return Key{}
+	case plen < 64:
+		return Key{Hi: k.Hi &^ (^uint64(0) >> uint(plen))}
+	case plen < keyBits:
+		return Key{Hi: k.Hi, Lo: k.Lo &^ (^uint64(0) >> uint(plen-64))}
+	}
+	return k
+}
 
 // Node is a binary trie node. Label 0 (fib.NoLabel) means "no label".
 type Node struct {
@@ -21,10 +63,18 @@ type Node struct {
 // IsLeaf reports whether the node has no children.
 func (n *Node) IsLeaf() bool { return n.Left == nil && n.Right == nil }
 
-// Trie is a binary prefix tree over the W-bit address space. Nodes
-// pruned by Delete are kept on an internal freelist and reused by
-// later Inserts, so steady route churn against a long-lived trie (the
-// control FIB of a prefix DAG) does not allocate.
+// child is the child a key bit selects.
+func (n *Node) child(bit uint32) *Node {
+	if bit == 0 {
+		return n.Left
+	}
+	return n.Right
+}
+
+// Trie is a binary prefix tree over the Key space. Nodes pruned by
+// Delete are kept on an internal freelist and reused by later Inserts,
+// so steady route churn against a long-lived trie (the control FIB of
+// a prefix DAG) does not allocate.
 type Trie struct {
 	Root  *Node
 	arena Arena
@@ -43,12 +93,28 @@ func FromTable(t *fib.Table) *Trie {
 	return tr
 }
 
-// Insert sets the label of prefix addr/plen, creating path nodes as
+// Insert sets the label of IPv4 prefix addr/plen.
+func (t *Trie) Insert(addr uint32, plen int, label uint32) { t.InsertKey(V4(addr), plen, label) }
+
+// Delete removes the label of IPv4 prefix addr/plen (see DeleteKey).
+func (t *Trie) Delete(addr uint32, plen int) bool { return t.DeleteKey(V4(addr), plen) }
+
+// Get reports the label stored at exactly IPv4 prefix addr/plen.
+func (t *Trie) Get(addr uint32, plen int) uint32 { return t.GetKey(V4(addr), plen) }
+
+// Lookup performs longest prefix match on an IPv4 address.
+func (t *Trie) Lookup(addr uint32) uint32 { label, _ := t.lookup(V4(addr)); return label }
+
+// LookupSteps is Lookup instrumented to also report the number of
+// nodes visited, used by the depth statistics of Table 2.
+func (t *Trie) LookupSteps(addr uint32) (label uint32, steps int) { return t.lookup(V4(addr)) }
+
+// InsertKey sets the label of prefix k/plen, creating path nodes as
 // needed.
-func (t *Trie) Insert(addr uint32, plen int, label uint32) {
+func (t *Trie) InsertKey(k Key, plen int, label uint32) {
 	n := t.Root
 	for q := 0; q < plen; q++ {
-		if fib.Bit(addr, q) == 0 {
+		if k.Bit(q) == 0 {
 			if n.Left == nil {
 				n.Left = t.arena.node(fib.NoLabel, nil, nil)
 			}
@@ -63,118 +129,85 @@ func (t *Trie) Insert(addr uint32, plen int, label uint32) {
 	n.Label = label
 }
 
-// Delete removes the label of prefix addr/plen and prunes unlabeled
-// leaf chains. It reports whether a label was present.
-func (t *Trie) Delete(addr uint32, plen int) bool {
-	var pathBuf [fib.W + 1]*Node // on-stack: Delete must not allocate
-	path := pathBuf[:0]
-	n := t.Root
-	path = append(path, n)
+// DeleteKey removes the label of prefix k/plen and prunes the unlabeled
+// chain that leaves, recycling it into later Inserts. It reports whether
+// a label was present.
+func (t *Trie) DeleteKey(k Key, plen int) bool {
+	// keep is the deepest node above the prefix that pruning stops at —
+	// the root, a labeled node or a fork — and kq its depth: below it
+	// the path is a chain of single unlabeled children.
+	n, keep, kq := t.Root, t.Root, 0
 	for q := 0; q < plen; q++ {
-		if fib.Bit(addr, q) == 0 {
-			n = n.Left
-		} else {
-			n = n.Right
+		if n.Label != fib.NoLabel || (n.Left != nil && n.Right != nil) {
+			keep, kq = n, q
 		}
-		if n == nil {
+		if n = n.child(k.Bit(q)); n == nil {
 			return false
 		}
-		path = append(path, n)
 	}
 	if n.Label == fib.NoLabel {
 		return false
 	}
 	n.Label = fib.NoLabel
-	// Prune now-useless leaves bottom-up, recycling them into later
-	// Inserts.
-	for i := len(path) - 1; i > 0; i-- {
-		nd := path[i]
-		if !nd.IsLeaf() || nd.Label != fib.NoLabel {
-			break
+	if !n.IsLeaf() || n == keep {
+		return true
+	}
+	c := keep.child(k.Bit(kq))
+	if k.Bit(kq) == 0 {
+		keep.Left = nil
+	} else {
+		keep.Right = nil
+	}
+	for c != nil {
+		next := c.Left
+		if next == nil {
+			next = c.Right
 		}
-		parent := path[i-1]
-		if parent.Left == nd {
-			parent.Left = nil
-		} else {
-			parent.Right = nil
-		}
-		t.arena.recycleOne(nd)
+		t.arena.recycleOne(c)
+		c = next
 	}
 	return true
 }
 
-// Get reports the label stored at exactly prefix addr/plen
+// GetKey reports the label stored at exactly prefix k/plen
 // (fib.NoLabel when absent) — the exact-match complement of Lookup,
 // O(plen) with no allocation. The serving engine uses it to detect
 // no-op route updates (a re-announcement of the route already
 // installed) before paying for a DAG patch and republish.
-func (t *Trie) Get(addr uint32, plen int) uint32 {
+func (t *Trie) GetKey(k Key, plen int) uint32 {
 	n := t.Root
 	for q := 0; q < plen; q++ {
-		if fib.Bit(addr, q) == 0 {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-		if n == nil {
+		if n = n.child(k.Bit(q)); n == nil {
 			return fib.NoLabel
 		}
 	}
 	return n.Label
 }
 
-// Lookup performs longest prefix match: walk the bits of addr and
+// LookupKey performs longest prefix match: walk the bits of k and
 // return the last label seen (§2). It runs in O(W).
-func (t *Trie) Lookup(addr uint32) uint32 {
-	best := fib.NoLabel
-	n := t.Root
-	for q := 0; n != nil; q++ {
-		if n.Label != fib.NoLabel {
-			best = n.Label
-		}
-		if q == fib.W {
-			break
-		}
-		if fib.Bit(addr, q) == 0 {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	return best
-}
+func (t *Trie) LookupKey(k Key) uint32 { label, _ := t.lookup(k); return label }
 
-// LookupSteps is Lookup instrumented to also report the number of
-// nodes visited, used by the depth statistics of Table 2.
-func (t *Trie) LookupSteps(addr uint32) (label uint32, steps int) {
-	best := fib.NoLabel
+func (t *Trie) lookup(k Key) (label uint32, steps int) {
 	n := t.Root
 	for q := 0; n != nil; q++ {
 		steps++
 		if n.Label != fib.NoLabel {
-			best = n.Label
+			label = n.Label
 		}
-		if q == fib.W {
+		if q == keyBits {
 			break
 		}
-		if fib.Bit(addr, q) == 0 {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
+		n = n.child(k.Bit(q))
 	}
-	return best, steps
+	return label, steps
 }
 
-// Subtree returns the node at prefix addr/plen, or nil.
+// Subtree returns the node at IPv4 prefix addr/plen, or nil.
 func (t *Trie) Subtree(addr uint32, plen int) *Node {
 	n := t.Root
 	for q := 0; q < plen && n != nil; q++ {
-		if fib.Bit(addr, q) == 0 {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
+		n = n.child(fib.Bit(addr, q))
 	}
 	return n
 }
@@ -230,8 +263,8 @@ func maxDepth(n *Node) int {
 	return r + 1
 }
 
-// Entries reconstructs the (prefix, label) pairs stored in the trie,
-// in preorder.
+// Entries reconstructs the (prefix, label) pairs of an IPv4 trie, in
+// preorder.
 func (t *Trie) Entries() []fib.Entry {
 	var out []fib.Entry
 	var walk func(n *Node, addr uint32, depth int)

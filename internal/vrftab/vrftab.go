@@ -80,21 +80,22 @@ func New(lambda, lambda6, shards int) *Registry {
 	// of the old generation, and so does every tenant after it: the
 	// space stays out of indices (NeedsCompact) until a later write's
 	// compaction finds the tables smaller.
-	r.space.OnCompact(func() {
-		for _, tn := range *r.tabs.Load() {
-			if tn.V4.Republish() != nil {
-				return
+	for fam, sp := range [2]*pdag.Space{r.space, r.space6} {
+		sp.OnCompact(func() {
+			for _, tn := range *r.tabs.Load() {
+				if tn.engines()[fam].Republish() != nil {
+					return
+				}
 			}
-		}
-	})
-	r.space6.OnCompact(func() {
-		for _, tn := range *r.tabs.Load() {
-			if tn.V6.Republish() != nil {
-				return
-			}
-		}
-	})
+		})
+	}
 	return r
+}
+
+// engines lists the tenant's engines in the order of the registry's
+// spaces: IPv4, IPv6.
+func (tn *Tenant) engines() [2]interface{ Republish() error } {
+	return [2]interface{ Republish() error }{tn.V4, tn.V6}
 }
 
 // Add builds and publishes a tenant from its initial tables (either
