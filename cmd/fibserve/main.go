@@ -15,8 +15,8 @@
 //
 // -updates attaches the live route-update plane (internal/ribd): a
 // TCP listener accepting "announce prefix label" / "withdraw prefix"
-// feeds from concurrent peers, coalescing them per shard and
-// republishing at a paced rate, so the FIB converges while serving
+// feeds from concurrent peers, coalescing them and republishing as
+// soon as the queue drains, so the FIB converges while serving
 // (SIGHUP whole-file reload remains as the fallback). SIGINT/SIGTERM
 // shut down gracefully: stop accepting peers, drain the pending update
 // batch, answer the in-flight lookup, then exit.
@@ -152,7 +152,7 @@ func main() {
 		fib6    = flag.String("fib6", "", "IPv6 FIB file: serve dual-stack (AF-tagged v6 datagrams next to untagged v4)")
 		lambda6 = flag.Int("lambda6", 16, fmt.Sprintf("IPv6 leaf-push barrier, in [log2 shards, %d]", shardfib.MaxLambda))
 		updates = flag.String("updates", "", "TCP address for the live route-update plane (ribd)")
-		stale   = flag.Duration("max-staleness", ribd.DefaultMaxStaleness, "update plane: staleness bound on paced republish")
+		stale   = flag.Duration("max-staleness", ribd.DefaultMaxStaleness, "update plane: staleness bound reported to peers (updates publish as soon as the queue drains)")
 		idle    = flag.Duration("peer-idle-timeout", ribd.DefaultIdleTimeout, "update plane: reset a peer session after this long without a line (negative disables)")
 		grace   = flag.Duration("restart-time", ribd.DefaultRestartTime, "update plane: retain a lost named peer's routes this long awaiting its reconnect (negative sweeps immediately)")
 		budget  = flag.Int("peer-budget", ribd.DefaultPeerBudget, "update plane: shed a peer whose unflushed backlog exceeds this many updates")
@@ -294,7 +294,8 @@ func main() {
 		fatal(err)
 	}
 	// The live route-update plane: TCP peer sessions feeding the
-	// coalescing queue and paced republisher over the sharded engine.
+	// coalescing queue and flush-on-drain republisher over the
+	// sharded engine.
 	var (
 		plane     *ribd.Plane
 		upd       *ribd.Server

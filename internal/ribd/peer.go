@@ -27,7 +27,7 @@ import (
 //     it still owns is withdrawn in bulk (mark-and-sweep).
 //
 // Sweep-generated withdrawals flow through the ordinary coalescing
-// and paced-publish machinery and are counted in Stats.Swept, so the
+// and publish machinery and are counted in Stats.Swept, so the
 // conservation law extends to
 // Received + Swept = Coalesced + Applied + pending.
 //
@@ -194,8 +194,10 @@ func (p *Plane) handleCtl(c ctl) {
 // sweep withdraws the peer's owned routes: all of them (timer expiry)
 // or only the ones not refreshed by the current incarnation (the
 // end-of-RIB delta purge). The withdrawals land in the ordinary
-// pending map and are published by the same paced flush as any other
-// update.
+// pending map and are published by the same flush as any other
+// update. A sweep pends all of them in one pass, past
+// Options.MaxPending; the flusher's next decision flushes them in one
+// batch.
 func (p *Plane) sweep(ps *peerState, all bool) {
 	for r, rec := range p.owners {
 		if rec.ps != ps || (!all && rec.gen == ps.gen) {

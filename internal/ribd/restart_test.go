@@ -251,7 +251,7 @@ func TestImmediateSweepWithoutGrace(t *testing.T) {
 
 // TestSweepCountsPending: sweep-generated withdrawals wait in the
 // pending map like received updates and are counted by the pending
-// gauge, so between a sweep and the paced flush that publishes it the
+// gauge, so between a sweep and the flush that publishes it the
 // scrape-time law Received + Swept = Coalesced + Applied + Pending
 // holds.
 func TestSweepCountsPending(t *testing.T) {
@@ -281,6 +281,47 @@ func TestSweepCountsPending(t *testing.T) {
 	if pending != 10 || st.Received+st.Swept != st.Coalesced+st.Applied+pending {
 		t.Fatalf("received %d + swept %d != coalesced %d + applied %d + pending %d (want 10 pending)",
 			st.Received, st.Swept, st.Coalesced, st.Applied, pending)
+	}
+}
+
+// TestSweepPastMaxPending: a sweep pends every route the lost peer
+// owned in one pass, past MaxPending, and the next decision flushes
+// the whole sweep: at the barrier the conservation law holds and every
+// swept address answers the default route again.
+func TestSweepPastMaxPending(t *testing.T) {
+	eng := testEngine(t, 4)
+	p := New(eng, Options{RestartTime: -1, MaxPending: 64})
+	defer p.Close()
+	s, err := Serve(p, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	const n = 200
+	c, b := helloPeer(t, s, "M", false)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(c, "announce 10.%d.0.0/16 7\n", i)
+	}
+	b.sync(t, c, "up")
+	c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Stats().Swept < n {
+		if time.Now().After(deadline) {
+			t.Fatal("routes not swept on session loss with RestartTime < 0")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	p.Sync()
+	st, pending := p.Stats(), uint64(p.Pending())
+	if st.Swept != n || st.Received+st.Swept != st.Coalesced+st.Applied+pending {
+		t.Fatalf("received %d + swept %d != coalesced %d + applied %d + pending %d (want %d swept)",
+			st.Received, st.Swept, st.Coalesced, st.Applied, pending, n)
+	}
+	for i := 0; i < n; i++ {
+		if got := eng.Lookup(0x0A000001 | uint32(i)<<16); got != 1 {
+			t.Fatalf("10.%d.0.1 -> %d after the sweep, want the default 1", i, got)
+		}
 	}
 }
 
@@ -399,8 +440,9 @@ func TestTornTailDiscarded(t *testing.T) {
 // before the shed still land.
 func TestOverloadShed(t *testing.T) {
 	eng := testEngine(t, 4)
-	// The pacer is parked (hour-long bounds), so nothing settles the
-	// backlog until a barrier: the peer must trip the budget.
+	// Publishing is parked (an hour-long MinInterval), so nothing
+	// settles the backlog until a barrier: the peer must trip the
+	// budget.
 	p := New(eng, Options{MinInterval: time.Hour, MaxStaleness: time.Hour, PeerBudget: 64})
 	defer p.Close()
 	s, err := Serve(p, "127.0.0.1:0")

@@ -11,16 +11,15 @@
 //     churn — repeated announces of a prefix, announce-then-withdraw
 //     — so a burst costs one DAG mutation per distinct prefix no
 //     matter how hot the feed;
-//   - a paced republisher decoupling the update-apply rate from the
-//     snapshot-publish rate: an idle plane publishes an update
-//     immediately, a churning plane batches pending prefixes and
-//     flushes them through shardfib.ApplyBatch (one serialization per
-//     changed shard, one merged-view rebuild per flush) at an
-//     adaptive interval that grows with the observed batch size and
-//     the measured flush cost (see pacerHeavyBatch, pacerDutyFactor)
-//     up to Options.MaxStaleness. An accepted update is therefore
-//     visible to lookups within MaxStaleness plus one flush duration,
-//     the plane's staleness bound.
+//   - a flush-on-drain republisher: as soon as the flusher has drained
+//     the ingest queue and something is pending, it publishes the
+//     pending prefixes through shardfib.ApplyBatch (one merged-view
+//     rebuild per flush). Updates that arrive during a flush become
+//     the next batch, so batch size follows load with no rule for
+//     it. The only wait is the operator's Options.MinInterval
+//     (default 0), capped at Options.MaxStaleness, so an accepted
+//     update is visible to lookups within MinInterval plus one flush
+//     duration — inside the staleness bound the plane reports.
 //
 // One goroutine (the flusher) owns the pending map, so the hot
 // ingest path is a channel send and the steady-state flush cycle
@@ -44,19 +43,21 @@ import (
 
 // Options tunes the plane. The zero value is ready to use.
 type Options struct {
-	// MaxStaleness caps the pacing interval: under arbitrarily heavy
-	// churn, a flush starts at most this long after the previous one
-	// ended, so an accepted update waits at most MaxStaleness plus
-	// one flush duration before lookups see it.
-	// Default DefaultMaxStaleness.
+	// MaxStaleness is the staleness bound the plane reports to peers
+	// (the sync reply's staleness_bound) and the cap on MinInterval:
+	// an accepted update waits at most MaxStaleness plus one flush
+	// duration before lookups see it. Default DefaultMaxStaleness.
 	MaxStaleness time.Duration
-	// MinInterval floors the pacing interval, for operators who want
-	// to cap the publish rate even when the plane is idle. Default 0:
-	// an idle plane publishes immediately.
+	// MinInterval is the least gap between one flush's end and the
+	// next flush's start, for operators who want to cap the publish
+	// rate; it is capped at MaxStaleness. Default 0: the plane
+	// publishes as soon as it has drained its queue.
 	MinInterval time.Duration
 	// MaxPending flushes early once this many distinct prefixes are
-	// pending, bounding the coalescing map's footprint regardless of
-	// pacing. Default DefaultMaxPending.
+	// pending, bounding the coalescing map's footprint. The bound
+	// holds except during a graceful-restart sweep, which pends every
+	// route the lost peer owned in one pass; the next decision then
+	// flushes the sweep in one batch. Default DefaultMaxPending.
 	MaxPending int
 	// Queue is the ingest channel depth; sessions enqueueing into a
 	// full queue block (backpressure on the feed socket). Default
@@ -89,6 +90,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxStaleness <= 0 {
 		o.MaxStaleness = DefaultMaxStaleness
 	}
+	o.MinInterval = min(o.MinInterval, o.MaxStaleness)
 	if o.MaxPending <= 0 {
 		o.MaxPending = DefaultMaxPending
 	}
@@ -115,7 +117,7 @@ type Stats struct {
 	Applied     uint64 `json:"applied"`      // coalesced updates handed to the engine
 	Mutated     uint64 `json:"mutated"`      // applied updates that actually changed the engine (the rest were no-op re-announcements it squashed)
 	Rejected    uint64 `json:"rejected"`     // updates dropped for invalid prefix/label
-	Flushes     uint64 `json:"flushes"`      // paced batch publishes
+	Flushes     uint64 `json:"flushes"`      // batch publishes
 	ApplyErrors uint64 `json:"apply_errors"` // engine errors during a flush (should stay 0)
 	Swept       uint64 `json:"swept"`        // stale-route withdrawals generated by graceful-restart sweeps
 	Shed        uint64 `json:"shed"`         // sessions reset for exceeding their peer's backlog budget
@@ -161,10 +163,9 @@ type route struct {
 // (NewDual). Create with New or NewDual, feed with Enqueue / Feed / a
 // session Server, stop with Close (which drains and applies
 // everything already accepted). Both families flow through one
-// flusher and one pacer: a flush hands each family's coalesced batch
-// to its own engine's ApplyBatch, so the staleness bound and the
-// stats conservation law hold across the dual-stack stream as a
-// whole.
+// flusher: a flush hands each family's coalesced batch to its own
+// engine's ApplyBatch, so the staleness bound and the stats
+// conservation law hold across the dual-stack stream as a whole.
 type Plane struct {
 	eng  *shardfib.FIB
 	eng6 *shardfib.FIB6
@@ -177,13 +178,11 @@ type Plane struct {
 
 	// Flusher-owned state: the coalescing map (route → pending label,
 	// fib.NoLabel = withdraw), its size, and the reusable flush batches.
-	pending   map[route]uint32
-	npending  int
-	ops       []shardfib.Op
-	ops6      []shardfib.Op6
-	lastEnd   time.Time
-	lastDur   time.Duration
-	lastBatch int
+	pending  map[route]uint32
+	npending int
+	ops      []shardfib.Op
+	ops6     []shardfib.Op6
+	lastEnd  time.Time
 
 	// Flusher-owned graceful-restart state: which named peer owns
 	// each installed prefix (and under which session incarnation),
@@ -224,8 +223,8 @@ type planeMetrics struct {
 	// families' ApplyBatch — in raw nanoseconds.
 	flushSeconds *obs.Histogram
 	// staleness is the gap between a flush's start and the previous
-	// flush's end: the realized pacing interval, whose p99 should sit
-	// at or under Options.MaxStaleness.
+	// flush's end: the quiet time until the next update arrived, plus
+	// any Options.MinInterval wait.
 	staleness *obs.Histogram
 }
 
@@ -353,14 +352,14 @@ func (p *Plane) RegisterMetrics(r *obs.Registry) {
 	r.MustCounterFunc("ribd_applied_total", "", "Coalesced updates handed to the engine.", p.applied.Load)
 	r.MustCounterFunc("ribd_mutated_total", "", "Applied updates that actually changed the engine.", p.mutated.Load)
 	r.MustCounterFunc("ribd_rejected_total", "", "Updates dropped for invalid prefix or label.", p.rejected.Load)
-	r.MustCounterFunc("ribd_flushes_total", "", "Paced batch publishes.", p.flushes.Load)
+	r.MustCounterFunc("ribd_flushes_total", "", "Batch publishes.", p.flushes.Load)
 	r.MustCounterFunc("ribd_apply_errors_total", "", "Engine errors during a flush.", p.applyErrors.Load)
 	r.MustCounterFunc("ribd_swept_total", "", "Stale-route withdrawals from graceful-restart sweeps.", p.swept.Load)
 	r.MustCounterFunc("ribd_shed_total", "", "Sessions reset for exceeding their peer backlog budget.", p.shed.Load)
 	r.MustGaugeFunc("ribd_pending", "", "Distinct prefixes waiting in the coalescing map.",
 		func() uint64 { return uint64(p.pendingN.Load()) })
 	r.MustHistogram("ribd_flush_seconds", "", "Flush span: pending-map drain plus both families' ApplyBatch.", m.flushSeconds)
-	r.MustHistogram("ribd_staleness_seconds", "", "Realized pacing gap between consecutive flushes.", m.staleness)
+	r.MustHistogram("ribd_staleness_seconds", "", "Gap between a flush's end and the next flush's start: quiet time until an update arrived, plus any MinInterval wait.", m.staleness)
 }
 
 // Stats snapshots the plane's counters.
@@ -379,7 +378,7 @@ func (p *Plane) Stats() Stats {
 }
 
 // run is the flusher: the single goroutine that owns the pending
-// map, absorbs the ingest channel and paces the publishes.
+// map, absorbs the ingest channel and publishes once it is drained.
 func (p *Plane) run() {
 	defer close(p.done)
 	timer := time.NewTimer(time.Hour)
@@ -399,13 +398,12 @@ func (p *Plane) run() {
 			p.absorb(it)
 			// Drain the burst that queued behind this item before
 			// deciding, so a hot feed coalesces in bulk instead of
-			// re-evaluating the pacer per update. Bounded per round:
-			// a producer fast enough to keep the queue non-empty
-			// must not starve the pacing decision below, or nothing
-			// would publish until the feed pauses. The MaxPending
-			// check makes the coalescing-map bound hard — the drain
-			// stops and the decision below flushes — rather than
-			// best-effort across an arbitrarily long burst.
+			// flushing per update. Bounded per round: a producer fast
+			// enough to keep the queue non-empty must not starve the
+			// decision below, or nothing would publish until the feed
+			// pauses. The MaxPending check stops the drain so the
+			// decision below flushes; only a sweep (peer.go) pends
+			// past it, in one pass, and that decision flushes it.
 		burst:
 			for i := 0; i < cap(p.in); i++ {
 				if p.npending >= p.opts.MaxPending {
@@ -440,13 +438,8 @@ func (p *Plane) run() {
 			disarm()
 			continue
 		}
-		if p.npending >= p.opts.MaxPending {
-			disarm()
-			p.flush()
-			continue
-		}
-		wait := time.Until(p.lastEnd.Add(p.interval()))
-		if wait <= 0 {
+		wait := time.Until(p.lastEnd.Add(p.opts.MinInterval))
+		if wait <= 0 || p.npending >= p.opts.MaxPending {
 			disarm()
 			p.flush()
 		} else if !armed {
@@ -454,48 +447,6 @@ func (p *Plane) run() {
 			armed = true
 		}
 	}
-}
-
-// Pacer constants.
-//
-// pacerDutyFactor: the pacer waits at least this many multiples of
-// the previous flush's duration, capping apply+republish work at
-// ~1/(1+factor) of wall time even when individual flushes are
-// expensive (huge shards, λ near the serializable edge).
-//
-// pacerHeavyBatch: the batch size at which churn counts as "heavy"
-// and the pacer stretches to the full staleness window. A flush has a
-// per-publish fixed cost — one serialization per touched shard plus
-// the merged-view rebuild — that batch size amortizes; flushing a
-// 2^k-shard engine more often than the fixed cost warrants burns CPU
-// *and* thrashes the lookup cores' caches with rewritten blobs. Below
-// the knee the interval shrinks proportionally, down to
-// publish-immediately when a single update trickles in.
-const (
-	pacerDutyFactor = 4
-	pacerHeavyBatch = 256
-)
-
-// interval is the current pacing gap between flushes: the adaptive
-// middle ground between "publish immediately when idle" and "never
-// exceed the staleness bound". An idle plane has lastBatch ≈ 0 and
-// lastDur ≈ 0 and publishes at once; as churn grows, the gap scales
-// with the observed batch size (up to MaxStaleness once batches pass
-// the pacerHeavyBatch knee) and with the measured flush cost, so
-// convergence lag stays bounded no matter the load while heavy churn
-// is absorbed in staleness-window-sized batches.
-func (p *Plane) interval() time.Duration {
-	iv := time.Duration(p.lastBatch) * p.opts.MaxStaleness / pacerHeavyBatch
-	if d := p.lastDur * pacerDutyFactor; d > iv {
-		iv = d
-	}
-	if iv < p.opts.MinInterval {
-		iv = p.opts.MinInterval
-	}
-	if iv > p.opts.MaxStaleness {
-		iv = p.opts.MaxStaleness
-	}
-	return iv
 }
 
 // absorb folds one ingest item into the pending map; a control item
@@ -587,8 +538,6 @@ func (p *Plane) flush() {
 	start := time.Now()
 	met := p.met.Load()
 	if met != nil {
-		// The realized pacing gap: how long this batch's oldest-possible
-		// update could have waited beyond the previous publish.
 		met.staleness.Observe(uint64(start.Sub(p.lastEnd)))
 	}
 	ops, ops6 := p.ops[:0], p.ops6[:0]
@@ -600,7 +549,6 @@ func (p *Plane) flush() {
 		}
 	}
 	clear(p.pending)
-	// Both families share this flush's pacing sample.
 	if len(ops) > 0 {
 		p.count(p.eng.ApplyBatch(ops))
 	}
@@ -610,14 +558,11 @@ func (p *Plane) flush() {
 	p.ops, p.ops6 = ops, ops6
 	p.applied.Add(uint64(len(ops) + len(ops6)))
 	p.flushes.Add(1)
-	p.lastBatch = len(ops) + len(ops6)
 	p.npending = 0
 	p.pendingN.Store(0)
-	now := time.Now()
-	p.lastDur = now.Sub(start)
-	p.lastEnd = now
+	p.lastEnd = time.Now()
 	if met != nil {
-		met.flushSeconds.Observe(uint64(p.lastDur))
+		met.flushSeconds.Observe(uint64(p.lastEnd.Sub(start)))
 	}
 }
 

@@ -30,7 +30,7 @@ func testEngine(t *testing.T, shards int) *shardfib.FIB {
 // Received = Coalesced + Applied holds at the barrier.
 func TestCoalescing(t *testing.T) {
 	eng := testEngine(t, 4)
-	// A long MinInterval keeps the pacer from flushing between the
+	// A long MinInterval keeps the flusher from publishing between the
 	// enqueues, so the whole burst lands in one batch.
 	p := New(eng, Options{MinInterval: time.Hour, MaxStaleness: time.Hour})
 	defer p.Close()
@@ -70,6 +70,32 @@ func TestIdlePublishesImmediately(t *testing.T) {
 			t.Fatal("update not visible after 5s on an idle plane")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSecondBurstNotHeld: a burst that follows a large flush is
+// published as soon as the queue drains, not held for a wait scaled
+// by the previous batch's size.
+func TestSecondBurstNotHeld(t *testing.T) {
+	eng := testEngine(t, 4)
+	p := New(eng, Options{MaxStaleness: time.Hour})
+	defer p.Close()
+	const n = 256
+	for _, label := range []uint32{2, 3} {
+		burst := make([]gen.Update, n)
+		for i := range burst {
+			burst[i] = gen.Update{Addr: uint32(i) << 16, Len: 16, NextHop: label}
+		}
+		start := time.Now()
+		p.EnqueueBatch(burst)
+		for i := 0; i < n; i++ {
+			for eng.Lookup(uint32(i)<<16|1) != label {
+				if time.Since(start) > 5*time.Second {
+					t.Fatalf("burst with label %d not visible after 5s", label)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
 	}
 }
 
@@ -204,9 +230,11 @@ func TestSessionErrorDropsPeer(t *testing.T) {
 	}
 }
 
-// TestPacerBoundsStaleness: under continuous churn the plane batches
-// — far fewer flushes than updates — yet every update is published no
-// later than the staleness window after the feed stops.
+// TestPacerBoundsStaleness: under continuous churn the plane batches —
+// updates that arrive during a flush or its MinInterval wait become the
+// next batch, so there are fewer flushes than updates — yet the last
+// update is published within MinInterval plus one flush of the feed
+// stopping, inside the staleness bound.
 func TestPacerBoundsStaleness(t *testing.T) {
 	eng := testEngine(t, 4)
 	const bound = 10 * time.Millisecond
