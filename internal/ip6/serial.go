@@ -21,14 +21,15 @@ const (
 	wordLeafFlag = pdag.WordLeafFlag // node word: inlined leaf
 )
 
-// Serialize freezes the DAG into a fresh Blob. It advances the DAG's
-// stamping epoch, so concurrent Serialize calls on one DAG are not
-// safe; serialize under the same exclusion that guards Set/Delete.
+// Serialize freezes the DAG into a fresh Blob. It compacts the DAG's
+// private space and stamps its nodes, so concurrent Serialize calls on
+// one DAG are not safe; serialize under the same exclusion that guards
+// Set/Delete.
 func (d *DAG) Serialize() (*Blob, error) {
 	return d.SerializeInto(nil)
 }
 
-// SerializeInto freezes the DAG into b through pdag's serializer,
+// SerializeInto freezes the DAG into b through pdag's one emitter,
 // reusing b's buffers when their capacity suffices (b == nil allocates
 // a fresh blob), so that a steady-churn republish into a retired blob
 // allocates nothing. The caller owns the exclusivity of b. On error b's

@@ -12,6 +12,9 @@ import (
 // oracles — a fuzz-shaped version of the update storm test. The plain
 // trie is the control trie's own code, so the second oracle shares
 // none: a linear scan over the exact-prefix state the sequence leaves.
+// For a serializable barrier the sequence ends in Serialize, whose
+// blob is checked against the scan and, byte for byte, against a
+// fresh fold of the oracle trie.
 func FuzzUpdateSequence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 1}, uint8(11))
 	f.Add([]byte{1, 12, 10, 0, 2, 3, 0, 12, 10, 0}, uint8(0))
@@ -65,6 +68,32 @@ func FuzzUpdateSequence(f *testing.F) {
 			if d.Lookup(a) != want || oracle.Lookup(a) != want {
 				t.Fatalf("divergence at %08x: dag %d, trie %d, linear scan %d", a, d.Lookup(a), oracle.Lookup(a), want)
 			}
+		}
+		if lambda > maxSerialLambda {
+			return
+		}
+		// The one emitter, after the whole sequence: its blob answers
+		// like the linear scan, and its bytes are those of a DAG
+		// folded afresh from the oracle trie.
+		blob, err := d.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range probes {
+			if got, want := blob.Lookup(a), replay.LookupLinear(a); got != want {
+				t.Fatalf("blob divergence at %08x: blob %d, linear scan %d", a, got, want)
+			}
+		}
+		fresh, err := FromTrie(oracle, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBlob(blob, want) {
+			t.Fatalf("λ=%d: blob after the sequence (%d bytes) differs from a fresh fold's (%d bytes)", lambda, blob.SizeBytes(), want.SizeBytes())
 		}
 	})
 }

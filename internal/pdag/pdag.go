@@ -34,11 +34,10 @@ const leafIDBase = uint64(1) << 40
 // label; folded interior nodes are unlabeled (their labels were pushed
 // to the leaves). The zero label is the paper's ∅ / cleared-⊥ label.
 //
-// serialIdx/serialEpoch are Serialize scratch: the blob index assigned
-// to this folded interior node, valid only while serialEpoch matches
-// the owning DAG's current serialization epoch. Keeping the stamp on
-// the node replaces the per-serialization map[*Node]uint32 so that a
-// republish allocates nothing.
+// serialIdx/serialEpoch are the node's stamp: its arena index, valid
+// only while serialEpoch is its space's stampEpoch, so an emission
+// appends only what the generation has not seen. The v2 study
+// serializer stamps here too, under bumpEpoch's epochs.
 type Node struct {
 	Left, Right *Node
 	Label       uint32
@@ -63,41 +62,31 @@ type Region struct {
 	Lambda int
 
 	root   *Node
-	sub    map[[2]uint64]*Node // the sub-trie index S
-	leaves map[uint32]*Node    // the leaf table lp
-	nextID uint64
+	sub    map[[2]uint64]*Node // the sub-trie index S: the space's
+	leaves map[uint32]*Node    // the leaf table lp: the space's
 
-	// space is non-nil for a region folded into a shared hash-cons
-	// universe: sub and leaves then alias the space's maps, interior
-	// ids draw from the space-wide counter, and serialization epochs
-	// come from the space so stamps written through one member can
-	// never collide with another's.
+	// space is the hash-cons universe the region folds into: shared
+	// (an engine's shards, a registry's tenants), or a private
+	// region's own (Build, FromTrie).
 	space *Space
 
-	// Serialize scratch, reused across republishes (SerializeInto and
-	// the DAG's SerializeV2Into share it — the epoch bump isolates the
-	// two formats' stamps): the current stamping epoch, the folded
-	// interiors in emission order and the iterative DFS stack.
+	// The v2 study serializer's scratch (SerializeV2Into): its epoch,
+	// stride roots in emission order and DFS stack. It goes when the
+	// v2 format does.
 	serialEpoch uint64
 	serialList  []*Node
 	serialStack []*Node
-
-	// freeNode chains released nodes (linked via Left) for later
-	// acquires, so that a steady-state update allocates nothing.
-	freeNode *Node
 }
 
 // newRegion returns an empty region of the given key width and
 // barrier, folding into sp when that is non-nil (the caller then holds
-// the space lock) and into maps of its own otherwise.
+// the space lock) and into a private space of its own otherwise.
 func newRegion(sp *Space, width, lambda int) Region {
-	r := Region{Width: width, Lambda: lambda, space: sp}
-	if sp != nil {
-		r.sub, r.leaves = sp.sub, sp.leaves
-	} else {
-		r.sub, r.leaves = make(map[[2]uint64]*Node), make(map[uint32]*Node)
+	if sp == nil {
+		sp = NewArena(0)
+		sp.private = true
 	}
-	return r
+	return Region{Width: width, Lambda: lambda, sub: sp.sub, leaves: sp.leaves, space: sp}
 }
 
 // DAG is a compressed IPv4 FIB: the descent over 32-bit keys, plus
@@ -129,7 +118,8 @@ func FromTrie(t *trie.Trie, lambda int) (*DAG, error) {
 // sub-trie index and leaf table are the space's own maps, so identical
 // subtrees across member DAGs coalesce, and interior ids draw from the
 // space-wide counter so cons keys never collide across members. The
-// caller must hold the space lock. A nil space folds privately.
+// caller must hold the space lock. A nil space folds into a private
+// space of the DAG's own, as FromTrie does.
 func FromTrieShared(sp *Space, t *trie.Trie, lambda int) (*DAG, error) {
 	return fromTrie(sp, t.Clone(), lambda)
 }
@@ -142,35 +132,22 @@ func fromTrie(sp *Space, control *trie.Trie, lambda int) (*DAG, error) {
 	return &DAG{Descent: d}, nil
 }
 
-// freeChain is the chain dead nodes are recycled through: the space's
-// for a member — a shared node dies in whichever member drops the
-// last reference, so per-region chains would drain in one member and
-// pile up in another — else the region's own.
-func (d *Region) freeChain() **Node {
-	if d.space != nil {
-		return &d.space.freeNode
-	}
-	return &d.freeNode
-}
-
-// newNode pops a recycled node or allocates one.
+// newNode pops a node off the space's recycled chain (a shared node
+// dies in whichever member drops its last reference) or allocates one.
 func (d *Region) newNode() *Node {
-	free := d.freeChain()
-	n := *free
+	n := d.space.freeNode
 	if n == nil {
 		return &Node{}
 	}
-	*free = n.Left
+	d.space.freeNode = n.Left
 	*n = Node{}
 	return n
 }
 
-// recycleNode pushes a dead node onto the free chain. The stale
-// serialIdx stamp is harmless: every SerializeInto bumps the epoch.
+// recycleNode pushes a dead node, unstamped, onto the space's chain.
 func (d *Region) recycleNode(n *Node) {
-	free := d.freeChain()
-	*n = Node{Left: *free}
-	*free = n
+	*n = Node{Left: d.space.freeNode}
+	d.space.freeNode = n
 }
 
 // up returns a fresh unlabeled plain node for the mirror above the
@@ -232,31 +209,20 @@ func (d *Region) split(v *Node) (l, r *Node) {
 	return v.Left, v.Right
 }
 
-// allocID draws the next interior-node id: from the shared space's
-// counter when the region is a member of one (ids key the shared cons
-// index, so per-region counters would collide), else from its own.
-// Ids are never reused: a space's idMark counts on them being
-// monotonic to know what the next emission will append.
+// allocID draws the next interior-node id from the space's counter
+// (ids key the shared cons index, so per-region counters would
+// collide). Ids are never reused: a space's idMark counts on them
+// being monotonic to know what the next emission will append.
 func (d *Region) allocID() uint64 {
-	if d.space != nil {
-		d.space.nextID++
-		return d.space.nextID
-	}
-	d.nextID++
-	return d.nextID
+	d.space.nextID++
+	return d.space.nextID
 }
 
-// bumpEpoch starts a fresh private-serialization stamping epoch. For a
-// space member the counter is space-wide: a per-region counter could
-// collide with a stamp another member wrote on a shared node, making a
-// stale index look current.
+// bumpEpoch starts a fresh stamping epoch for the v2 study serializer,
+// from the space-wide counter so stamps on shared nodes never collide.
 func (d *Region) bumpEpoch() {
-	if d.space != nil {
-		d.space.epoch++
-		d.serialEpoch = d.space.epoch
-		return
-	}
-	d.serialEpoch++
+	d.space.epoch++
+	d.serialEpoch = d.space.epoch
 }
 
 // drop releases one reference to a folded node — get(i, j) of §4.1 —
@@ -276,7 +242,7 @@ func (d *Region) drop(n *Node) {
 		return
 	}
 	delete(d.sub, [2]uint64{n.Left.id, n.Right.id})
-	if d.space != nil && n.serialEpoch != d.space.stampEpoch() {
+	if n.serialEpoch != d.space.stampEpoch() {
 		d.space.idMark++ // died before an emission reached it: never to be appended
 	}
 	l, r := n.Left, n.Right

@@ -1,7 +1,7 @@
 package pdag
 
 import (
-	"fmt"
+	"errors"
 
 	"fibcomp/internal/fib"
 )
@@ -20,10 +20,10 @@ type Blob struct {
 	Nodes  []uint32 // 2 words per interior node: payload each
 
 	// RootBase is the logical offset of Root[0] within the full
-	// 2^λ-entry root array. A privately serialized blob carries the
-	// whole array (RootBase 0); a shared-space blob (SerializeShared)
-	// carries only its shard's live window, with RootBase naming where
-	// that window sits — walks subtract it before indexing Root.
+	// 2^λ-entry root array. Serialize, and SerializeShared with no
+	// shard bits, carry the whole array (RootBase 0); a shard's blob
+	// carries only its live window, with RootBase naming where that
+	// window sits — walks subtract it before indexing Root.
 	RootBase int
 }
 
@@ -47,71 +47,28 @@ const (
 // make no sense for a serialized FIB (and the paper uses λ=11).
 const maxSerialLambda = 24
 
-// Serialize freezes the DAG into a fresh Blob. Serialization advances
-// the DAG's internal stamping epoch (see SerializeInto), so — unlike
-// a DAG's read-only Lookup — concurrent Serialize calls on one DAG
-// are not safe; serialize under the same exclusion that guards
-// Set/Delete (shardfib holds the shard writer mutex).
-func (d *Region) Serialize() (*Blob, error) {
-	return d.SerializeInto(nil)
-}
+// Serialize freezes a private region into a fresh Blob.
+func (d *Region) Serialize() (*Blob, error) { return d.SerializeInto(nil) }
 
-// SerializeInto freezes the DAG into b, reusing b's Root and Nodes
-// buffers when their capacity suffices; b == nil allocates a fresh
-// blob. A steady-churn republish into a retired blob of the same
-// barrier therefore performs zero heap allocations. The caller owns
-// the exclusivity of b: it must not be reachable by concurrent
-// readers (shardfib proves this with a reader count before recycling
-// a retired snapshot).
-//
-// Folded interior nodes take dense indices in DFS preorder, assigned
-// iteratively with indices epoch-stamped onto the nodes themselves —
-// the map[*Node]uint32 of the naive serializer is what made
-// republishing allocate. The stamps and their epoch live on the DAG,
-// so serialization mutates the DAG: it must not run concurrently with
-// itself or with Set/Delete on the same DAG (take the writer's
-// exclusion). On error b's contents are unspecified and must not be
-// published.
+// SerializeInto freezes a private region (Build, FromTrie) into b,
+// reusing b's buffers when their capacity suffices (b == nil allocates
+// a fresh blob; the caller owns the exclusivity of b). It is the
+// engine's emitter on a fresh generation — Compact, then
+// SerializeShared of the whole root — so the blob holds exactly the
+// live folded nodes in canonical order, whatever churn came before.
+// It stamps the nodes: run it under the exclusion that guards
+// Set/Delete. On error b must not be published. A member of a shared
+// space is refused: its stamps belong to the space's arena.
 func (d *Region) SerializeInto(b *Blob) (*Blob, error) {
-	lambda := d.Lambda
-	if lambda > d.Width {
-		lambda = d.Width
+	sp := d.space
+	if !sp.private {
+		return nil, errors.New("pdag: Serialize on a member of a shared space; use SerializeShared")
 	}
-	if lambda > maxSerialLambda {
-		return nil, fmt.Errorf("pdag: cannot serialize with barrier λ=%d > %d", d.Lambda, maxSerialLambda)
+	if b != nil {
+		sp.free = b.Nodes // the new generation's array
 	}
-	if b == nil {
-		b = &Blob{}
-	}
-	b.Lambda, b.Width, b.RootBase = lambda, d.Width, 0
-	rootLen := 1 << uint(lambda)
-	if cap(b.Root) >= rootLen {
-		b.Root = b.Root[:rootLen]
-	} else {
-		b.Root = make([]uint32, rootLen)
-	}
-
-	// One pass over the plain region fills every root-array entry and
-	// assigns node indices on first contact with a folded subtree.
-	d.bumpEpoch()
-	d.serialList = d.serialList[:0]
-	if err := d.fillRoot(b.Root, b.Lambda, d.root, 0, 0, fib.NoLabel, d.assign); err != nil {
-		return nil, err
-	}
-
-	// Emit node words; children were stamped by assign, so each word
-	// is a read of the child's stamp.
-	wordLen := 2 * len(d.serialList)
-	if cap(b.Nodes) >= wordLen {
-		b.Nodes = b.Nodes[:wordLen]
-	} else {
-		b.Nodes = make([]uint32, wordLen)
-	}
-	for i, n := range d.serialList {
-		b.Nodes[2*i] = wordFor(n.Left)
-		b.Nodes[2*i+1] = wordFor(n.Right)
-	}
-	return b, nil
+	sp.Compact()
+	return d.SerializeShared(b, 0, 0)
 }
 
 // fillRoot writes the root-array entries covered by the plain-region
@@ -119,8 +76,9 @@ func (d *Region) SerializeInto(b *Blob) (*Blob, error) {
 // the last label seen on the path, the inherited default packed into
 // bits 24..31 of each entry. Folded subtrees reached above the barrier
 // cover their whole slot range with one payload: the index assign
-// gives their stride/interior node — both serialized formats share
-// the root-array encoding and differ only in what assign emits.
+// gives their node — assignShared's arena index, or the v2 study
+// format's stride offset; both formats share the root-array encoding
+// and differ only in what assign emits.
 func (d *Region) fillRoot(root []uint32, lambda int, n *Node, v uint32, depth int, def uint32, assign func(*Node) (uint32, error)) error {
 	lo := int(v) << uint(lambda-depth)
 	hi := lo + 1<<uint(lambda-depth)
@@ -153,65 +111,6 @@ func (d *Region) fillRoot(root []uint32, lambda int, n *Node, v uint32, depth in
 		return err
 	}
 	return d.fillRoot(root, lambda, n.Right, 2*v+1, depth+1, def, assign)
-}
-
-// assign gives a folded subtree dense preorder indices, stamping each
-// interior node with its index under the current epoch and collecting
-// the nodes in index order. Already-stamped nodes (shared subtrees
-// reached a second time) return their index immediately, preserving
-// the hash-consed sharing in the blob.
-func (d *Region) assign(root *Node) (uint32, error) {
-	epoch := d.serialEpoch
-	if root.serialEpoch == epoch {
-		return root.serialIdx, nil
-	}
-	if err := d.stamp(root, epoch); err != nil {
-		return 0, err
-	}
-	stack := append(d.serialStack[:0], root)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		// Stamp both children at the parent, left first, so siblings
-		// take consecutive indices (the locality trick of §4.2); push
-		// right below left so the left subtree is walked first.
-		l, r := n.Left, n.Right
-		pushL := l.kind == kindInt && l.serialEpoch != epoch
-		pushR := r.kind == kindInt && r.serialEpoch != epoch
-		if pushL {
-			if err := d.stamp(l, epoch); err != nil {
-				d.serialStack = stack
-				return 0, err
-			}
-		}
-		if pushR {
-			// l == r was stamped above; recheck keeps the scan single-visit.
-			if r.serialEpoch == epoch {
-				pushR = false
-			} else if err := d.stamp(r, epoch); err != nil {
-				d.serialStack = stack
-				return 0, err
-			}
-		}
-		if pushR {
-			stack = append(stack, r)
-		}
-		if pushL {
-			stack = append(stack, l)
-		}
-	}
-	d.serialStack = stack
-	return root.serialIdx, nil
-}
-
-// stamp assigns n the next dense index under epoch.
-func (d *Region) stamp(n *Node, epoch uint64) error {
-	if len(d.serialList) > maxBlobIdx {
-		return fmt.Errorf("pdag: too many folded nodes to serialize (%d)", len(d.serialList))
-	}
-	n.serialEpoch, n.serialIdx = epoch, uint32(len(d.serialList))
-	d.serialList = append(d.serialList, n)
-	return nil
 }
 
 // wordFor encodes a folded child as one 32-bit node word.

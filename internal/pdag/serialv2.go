@@ -111,22 +111,21 @@ func (s *strideExp) walk(n *Node, pos uint32, depth int) {
 	s.walk(n.Right, 2*pos+1, depth+1)
 }
 
-// SerializeV2 freezes the DAG into a fresh BlobV2. Like Serialize it
-// advances the DAG's stamping epoch, so it must run under the same
-// exclusion that guards Set/Delete.
+// SerializeV2 freezes the DAG into a fresh BlobV2. It advances the
+// space's v2 stamping epoch, so it must run under the same exclusion
+// that guards Set/Delete.
 func (d *DAG) SerializeV2() (*BlobV2, error) {
 	return d.SerializeV2Into(nil)
 }
 
 // SerializeV2Into freezes the DAG into b, reusing b's Root and Words
 // buffers when their capacity suffices; b == nil allocates a fresh
-// blob. It shares the epoch-stamping/freelist machinery of
-// SerializeInto — node offsets are stamped onto the folded nodes
-// under a fresh epoch, the root fill is the same pass with a
-// stride-node assigner — so a steady-churn republish into a retired
-// v2 blob performs zero heap allocations. Same caveats as
-// SerializeInto: the DAG is mutated (take the writer's exclusion),
-// and on error b's contents are unspecified.
+// blob. Node offsets are stamped onto the folded nodes under a fresh
+// bumpEpoch epoch (stampEpoch's bit 63 keeps it from forging an arena
+// stamp), and the root fill is the v1 pass with a stride-node
+// assigner, so a steady-churn republish allocates nothing. Same
+// caveats as SerializeInto: the DAG is mutated (take the writer's
+// exclusion), and on error b's contents are unspecified.
 func (d *DAG) SerializeV2Into(b *BlobV2) (*BlobV2, error) {
 	lambda := d.Lambda
 	if lambda > d.Width {

@@ -32,7 +32,8 @@ import (
 // decides when to compact. A NewArena space serves one: blobs own
 // their window buffers, NeedsCompact bounds the garbage by rule, and
 // the retired generation's array comes back (Recycle) once the engine
-// has proven that no reader can reach it.
+// has proven that no reader can reach it. A private region (Build,
+// FromTrie) is the one member of a NewArena space of its own.
 //
 // All mutation — folding, updates, serialization — must happen under
 // the space lock (Lock/Unlock); lookups on published blobs never touch
@@ -45,11 +46,9 @@ type Space struct {
 
 	freeNode *Node // the members' recycled-node chain (linked via Left)
 
-	// epoch backs the private serializers' stamping epochs for member
-	// DAGs: a space-wide counter keeps a stamp written through one DAG
-	// from ever matching an epoch drawn by another (per-DAG counters
-	// would collide on shared nodes). Always < 1<<63, so it is
-	// disjoint from the persistent arena-stamp epochs below.
+	// epoch backs the v2 study serializer's stamping epochs
+	// (bumpEpoch). Always < 1<<63, so it is disjoint from the arena
+	// stamps below; it goes when the v2 format does.
 	epoch uint64
 
 	// gen is the arena generation: arena stamps are valid only under
@@ -75,6 +74,10 @@ type Space struct {
 	retired, free []uint32
 
 	onCompact func()
+
+	// private marks a private region's own space: Serialize compacts
+	// it before every emission, so nothing is ever retired.
+	private bool
 
 	scratchRoot []uint32 // window scratch for interning emissions
 	stack       []*Node  // shared-emission DFS stack
@@ -131,9 +134,9 @@ func (sp *Space) Generation() uint64 { return sp.gen }
 func (sp *Space) FoldedInterior() int { return len(sp.sub) }
 
 // stampEpoch is the persistent arena-stamp epoch of the current
-// generation. Bit 63 keeps it disjoint from the private-serialization
-// counter, so a private SerializeInto on a member DAG can never forge
-// a valid arena stamp.
+// generation. Bit 63 keeps it disjoint from the v2 study serializer's
+// epochs (bumpEpoch), so a v2 stamp on a folded node can never forge
+// a valid arena stamp; the split goes when the v2 format does.
 func (sp *Space) stampEpoch() uint64 { return 1<<63 | sp.gen }
 
 // OnCompact registers what re-emits the space's members after Compact
@@ -161,15 +164,22 @@ func (sp *Space) NeedsCompact() bool {
 // hook, then the caller. A NewArena space sizes the new array for the
 // room NeedsCompact gives the generation (root windows past what a
 // merged root admits are left to append), so that it never grows,
-// reusing the array Recycle handed back when that is large enough.
+// reusing the array Recycle handed back when that is large enough. A
+// private space sizes it for exactly the emission that follows: 2|S|.
 // Called under the space lock.
 func (sp *Space) Compact() {
 	sp.gen++
 	sp.full = false
-	if sp.rootIdx != nil {
+	switch {
+	case sp.rootIdx != nil:
 		sp.words, sp.rootArena = nil, nil
 		sp.rootIdx = make(map[uint64][]rootWin)
-	} else {
+	case sp.private:
+		sp.words, sp.free = sp.free[:0], nil
+		if cap(sp.words) < 2*len(sp.sub) {
+			sp.words = make([]uint32, 0, 2*len(sp.sub))
+		}
+	default:
 		sp.retired, sp.words, sp.free = sp.words, sp.free[:0], nil
 		room := 3*len(sp.sub) + min(sp.windows/2, 1<<15)
 		if cap(sp.words) < room+room/8 {
@@ -219,9 +229,6 @@ var (
 // an index-exhaustion error latches (NeedsCompact) until Compact.
 func (d *Region) SerializeShared(b *Blob, shardIdx, shardBits int) (*Blob, error) {
 	sp := d.space
-	if sp == nil {
-		return nil, fmt.Errorf("pdag: SerializeShared on a DAG without a shared space")
-	}
 	lambda := d.Lambda
 	if lambda > d.Width {
 		lambda = d.Width
@@ -285,9 +292,11 @@ func (d *Region) SerializeShared(b *Blob, shardIdx, shardBits int) (*Blob, error
 
 var errArenaFull = errors.New("pdag: shared arena out of node indices; compact the space")
 
-// assignShared is the space-arena twin of assign: folded subtrees take
-// dense arena indices, stamped persistently under the generation epoch
-// so every later emission — by any member DAG — reuses them.
+// assignShared gives a folded subtree dense arena indices in DFS
+// preorder, stamped persistently under the generation epoch so every
+// later emission — by any member DAG — reuses them. Already-stamped
+// nodes (shared subtrees reached again) return their index at once,
+// preserving the hash-consed sharing in the words.
 func (d *Region) assignShared(root *Node) (uint32, error) {
 	sp := d.space
 	epoch := sp.stampEpoch()

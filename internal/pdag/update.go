@@ -25,8 +25,8 @@ type Descent struct {
 
 // NewDescent folds control — which the descent takes ownership of —
 // with leaf-push barrier lambda ∈ [0, width], into sp when that is
-// non-nil (the caller then holds the space lock) and privately
-// otherwise.
+// non-nil (the caller then holds the space lock) and into a private
+// space of its own otherwise.
 func NewDescent(sp *Space, control *trie.Trie, width, lambda int) (*Descent, error) {
 	if lambda < 0 || lambda > width {
 		return nil, fmt.Errorf("pdag: barrier λ=%d out of range [0,%d]", lambda, width)

@@ -14,7 +14,7 @@ import (
 // plane and the tenant registry. It is only ever lowered — to the new count, by the change
 // that removes the lines. A change that needs more lines than this
 // removes others first.
-const servingPathCeiling = 8082
+const servingPathCeiling = 7956
 
 var servingPath = []string{"pdag", "ip6", "shardfib", "lookupd", "trie", "ribd", "vrftab"}
 
