@@ -295,27 +295,3 @@ func (t *Table) Write(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// MustParse builds a table from "prefix label" strings (for tests and
-// examples).
-func MustParse(lines ...string) *Table {
-	t := New()
-	for _, line := range lines {
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			panic(fmt.Sprintf("ip6: bad line %q", line))
-		}
-		a, plen, err := ParsePrefix(fields[0])
-		if err != nil {
-			panic(err)
-		}
-		nh, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil {
-			panic(err)
-		}
-		if err := t.Add(a, plen, uint32(nh)); err != nil {
-			panic(err)
-		}
-	}
-	return t
-}

@@ -779,8 +779,8 @@ func (e *TimeoutError) Timeout() bool { return true }
 func (e *TimeoutError) Temporary() bool { return true }
 
 // Client is a blocking client for the lookup service. Every lookup is
-// bounded by the reply timeout (DefaultTimeout unless DialTimeout or
-// SetTimeout chose otherwise): a request whose reply never arrives
+// bounded by the reply timeout (DefaultTimeout unless DialTimeout
+// chose otherwise): a request whose reply never arrives
 // returns *TimeoutError instead of blocking forever. After a timeout
 // the client re-dials its socket from a fresh ephemeral port, so a
 // late reply to the timed-out request can never be mistaken for the
@@ -814,17 +814,6 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 		timeout = DefaultTimeout
 	}
 	return &Client{conn: conn, raddr: ua, timeout: timeout, buf: make([]byte, maxRequest)}, nil
-}
-
-// SetTimeout changes the reply timeout for subsequent lookups;
-// d <= 0 restores DefaultTimeout.
-func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d <= 0 {
-		d = DefaultTimeout
-	}
-	c.timeout = d
 }
 
 // exchange writes c.buf[:reqLen] and reads the reply back into c.buf

@@ -104,28 +104,18 @@ type DAG struct {
 // Build constructs a prefix DAG from a FIB table with leaf-push
 // barrier lambda.
 func Build(t *fib.Table, lambda int) (*DAG, error) {
-	return fromTrie(nil, trie.FromTable(t), lambda)
+	return fromTrie(trie.FromTable(t), lambda)
 }
 
 // FromTrie constructs a prefix DAG from a binary prefix trie (not
 // necessarily proper or leaf-pushed, per §4.1). The trie is cloned
 // into the DAG's control FIB; the caller keeps ownership of t.
 func FromTrie(t *trie.Trie, lambda int) (*DAG, error) {
-	return fromTrie(nil, t.Clone(), lambda)
+	return fromTrie(t.Clone(), lambda)
 }
 
-// FromTrieShared is FromTrie folding into a shared space: the DAG's
-// sub-trie index and leaf table are the space's own maps, so identical
-// subtrees across member DAGs coalesce, and interior ids draw from the
-// space-wide counter so cons keys never collide across members. The
-// caller must hold the space lock. A nil space folds into a private
-// space of the DAG's own, as FromTrie does.
-func FromTrieShared(sp *Space, t *trie.Trie, lambda int) (*DAG, error) {
-	return fromTrie(sp, t.Clone(), lambda)
-}
-
-func fromTrie(sp *Space, control *trie.Trie, lambda int) (*DAG, error) {
-	d, err := NewDescent(sp, control, fib.W, lambda)
+func fromTrie(control *trie.Trie, lambda int) (*DAG, error) {
+	d, err := NewDescent(nil, control, fib.W, lambda)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,14 @@ import (
 	"fibcomp/internal/trie"
 )
 
+// countTrie reports the nodes of a control subtree.
+func countTrie(n *trie.Node) int {
+	if n == nil {
+		return 0
+	}
+	return 1 + countTrie(n.Left) + countTrie(n.Right)
+}
+
 // checkInvariants verifies the DAG's internal consistency:
 //   - reference counts equal the number of parent edges (plus the
 //     root's own reference when the barrier is 0),
@@ -127,9 +135,8 @@ func TestLambda32IsPlainTrie(t *testing.T) {
 		t.Fatalf("λ=32 should have no folded nodes, got %d/%d",
 			d.FoldedInterior(), d.FoldedLeaves())
 	}
-	if d.UpNodes() != trie.FromTable(tb).CountNodes() {
-		t.Fatalf("λ=32 up nodes %d != trie nodes %d",
-			d.UpNodes(), trie.FromTable(tb).CountNodes())
+	if n := countTrie(trie.FromTable(tb).Root); d.UpNodes() != n {
+		t.Fatalf("λ=32 up nodes %d != trie nodes %d", d.UpNodes(), n)
 	}
 }
 
@@ -169,7 +176,8 @@ func TestDagSmallerThanLeafPushedTrie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lpInterior := lp.CountNodes() - lp.CountLeaves()
+	s := lp.LeafStats()
+	lpInterior := s.Nodes - s.Leaves
 	if d.FoldedInterior()+d.UpNodes() >= lpInterior {
 		t.Fatalf("DAG (%d+%d nodes) should be smaller than leaf-pushed trie (%d interior)",
 			d.UpNodes(), d.FoldedInterior(), lpInterior)

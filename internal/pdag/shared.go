@@ -6,16 +6,17 @@ import (
 	"sync"
 
 	"fibcomp/internal/fib"
+	"fibcomp/internal/trie"
 )
 
 // Space is a shared hash-cons universe: the sub-trie index S and the
 // leaf table lp of §4.1 lifted out of one DAG and spanned across many.
-// Every descent made with a space (NewDescent, FromTrieShared) folds
-// into the same two maps, so an isomorphic labeled sub-trie
-// appearing in any number of member DAGs — the shards of one engine,
-// or every tenant table of a registry — is stored exactly once. A
-// space never reads an address: its members are all of one key width,
-// but that width is theirs to know.
+// Every descent made with a space (NewDescent) folds into the same two
+// maps, so an isomorphic labeled sub-trie appearing in any number of
+// member DAGs — the shards of one engine, or every tenant table of a
+// registry — is stored exactly once. A space never reads an address:
+// its members are all of one key width, but that width is theirs to
+// know.
 //
 // The space also owns the serialized form of that sharing: an
 // append-only arena of node words (words) that every member DAG's
@@ -45,6 +46,12 @@ type Space struct {
 	nextID uint64
 
 	freeNode *Node // the members' recycled-node chain (linked via Left)
+
+	// scratch is the arena the members' temporary leaf-pushed control
+	// copies are drawn from: one per space, since its lock serializes
+	// every fold, so steady churn allocates nothing and a registry of
+	// many tenants keeps one high-water mark of scratch, not one each.
+	scratch trie.Arena
 
 	// epoch backs the v2 study serializer's stamping epochs
 	// (bumpEpoch). Always < 1<<63, so it is disjoint from the arena

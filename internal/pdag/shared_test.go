@@ -56,7 +56,7 @@ func testSharedSerializeEquivalence(t *testing.T, sp *Space) {
 	defer sp.Unlock()
 	for tn := 0; tn < tenants; tn++ {
 		tr := tenantTrie(t, tn, 300, 10)
-		d, err := FromTrieShared(sp, tr, lambda)
+		d, err := NewDescent(sp, tr.Clone(), fib.W, lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestSharedArenaDedup(t *testing.T) {
 	defer sp.Unlock()
 
 	tr := tenantTrie(t, 0, 400, 0)
-	d0, err := FromTrieShared(sp, tr, lambda)
+	d0, err := NewDescent(sp, tr.Clone(), fib.W, lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSharedArenaDedup(t *testing.T) {
 
 	// Bit-identical tenant: same routes, so every folded node and the
 	// root window itself are already in the arenas.
-	d1, err := FromTrieShared(sp, tenantTrie(t, 0, 400, 0), lambda)
+	d1, err := NewDescent(sp, tenantTrie(t, 0, 400, 0).Clone(), fib.W, lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +152,13 @@ func TestSharedArenaDedup(t *testing.T) {
 	if got := sp.SharedBytes(); got != after1 {
 		t.Fatalf("identical tenant grew arena: %d -> %d bytes", after1, got)
 	}
-	if b1.Lookup(0x0a000001) != d0.Lookup(0x0a000001) {
+	if got, _ := d0.LookupKey(trie.V4(0x0a000001)); b1.Lookup(0x0a000001) != got {
 		t.Fatal("identical tenants disagree")
 	}
 
 	// Near-identical tenant: growth must be well under a second full
 	// table.
-	d2, err := FromTrieShared(sp, tenantTrie(t, 2, 400, 8), lambda)
+	d2, err := NewDescent(sp, tenantTrie(t, 2, 400, 8).Clone(), fib.W, lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func TestSharedInterleavedUpdates(t *testing.T) {
 	defer sp.Unlock()
 	addrs := sweepAddrs(2048, 99)
 
-	dags := make([]*DAG, tenants)
+	dags := make([]*Descent, tenants)
 	refs := make([]*trie.Trie, tenants)
 	for tn := range dags {
 		refs[tn] = tenantTrie(t, tn, 250, 5)
-		d, err := FromTrieShared(sp, refs[tn], lambda)
+		d, err := NewDescent(sp, refs[tn].Clone(), fib.W, lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestSharedInterleavedUpdates(t *testing.T) {
 			plen := 12 + rng.Intn(13)
 			addr := rng.Uint32() &^ (1<<uint(32-plen) - 1)
 			label := uint32(1 + rng.Intn(200))
-			if err := d.Set(addr, plen, label); err != nil {
+			if err := d.SetKey(trie.V4(addr), plen, label); err != nil {
 				t.Fatal(err)
 			}
 			refs[tn].Insert(addr, plen, label)
@@ -235,11 +235,11 @@ func TestSharedReleaseAndCompact(t *testing.T) {
 
 	trA := tenantTrie(t, 0, 300, 6)
 	trB := tenantTrie(t, 1, 300, 6)
-	dA, err := FromTrieShared(sp, trA, lambda)
+	dA, err := NewDescent(sp, trA.Clone(), fib.W, lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dB, err := FromTrieShared(sp, trB, lambda)
+	dB, err := NewDescent(sp, trB.Clone(), fib.W, lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestSharedReleaseAndCompact(t *testing.T) {
 	}
 
 	dB.Release()
-	if err := dA.Set(0x0a000000, 8, 7); err != nil {
+	if err := dA.SetKey(trie.V4(0x0a000000), 8, 7); err != nil {
 		t.Fatal(err)
 	}
 	trA.Insert(0x0a000000, 8, 7)
@@ -297,7 +297,7 @@ func TestArenaGenerations(t *testing.T) {
 	sp.Lock()
 	defer sp.Unlock()
 	tr := tenantTrie(t, 0, 2000, 0)
-	d, err := FromTrieShared(sp, tr, lambda)
+	d, err := NewDescent(sp, tr.Clone(), fib.W, lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,12 +333,12 @@ func TestArenaGenerations(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			e := pool[rng.Intn(len(pool))]
 			if tr.Get(e.Addr, e.Len) == fib.NoLabel {
-				if err := d.Set(e.Addr, e.Len, e.NextHop); err != nil {
+				if err := d.SetKey(trie.V4(e.Addr), e.Len, e.NextHop); err != nil {
 					t.Fatal(err)
 				}
 				tr.Insert(e.Addr, e.Len, e.NextHop)
 			} else {
-				d.Delete(e.Addr, e.Len)
+				d.DeleteKey(trie.V4(e.Addr), e.Len)
 				tr.Delete(e.Addr, e.Len)
 			}
 		}
@@ -381,7 +381,7 @@ func TestArenaIndexExhaustion(t *testing.T) {
 	for _, sp := range []*Space{NewSpace(), NewArena(1 << lambda)} {
 		sp.Lock()
 		tr := tenantTrie(t, 0, 2000, 0)
-		d, err := FromTrieShared(sp, tr, lambda)
+		d, err := NewDescent(sp, tr.Clone(), fib.W, lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,12 +397,12 @@ func TestArenaIndexExhaustion(t *testing.T) {
 				t.Fatal("never ran out of indices")
 			}
 			if n&1 == 0 {
-				if err := d.Set(0x0a0b0c00, 24, 9); err != nil {
+				if err := d.SetKey(trie.V4(0x0a0b0c00), 24, 9); err != nil {
 					t.Fatal(err)
 				}
 				tr.Insert(0x0a0b0c00, 24, 9)
 			} else {
-				d.Delete(0x0a0b0c00, 24)
+				d.DeleteKey(trie.V4(0x0a0b0c00), 24)
 				tr.Delete(0x0a0b0c00, 24)
 			}
 			_, err = d.SerializeShared(nil, 0, 0)

@@ -17,10 +17,6 @@ type Descent struct {
 	Region
 
 	control *trie.Trie
-
-	// scratch is the arena the temporary leaf-pushed control copies
-	// are drawn from, so that steady-state churn allocates nothing.
-	scratch trie.Arena
 }
 
 // NewDescent folds control — which the descent takes ownership of —
@@ -118,9 +114,9 @@ func (d *Descent) buildUp(cn *trie.Node, depth int) *Node {
 // foldPushed leaf-pushes the control subtree into arena scratch, folds
 // the copy into the DAG, and recycles the scratch.
 func (d *Descent) foldPushed(cn *trie.Node, def uint32) *Node {
-	tmp := d.scratch.LeafPushWithDefault(cn, def)
+	tmp := d.space.scratch.LeafPushWithDefault(cn, def)
 	res := d.fold(tmp)
-	d.scratch.Recycle(tmp)
+	d.space.scratch.Recycle(tmp)
 	return res
 }
 

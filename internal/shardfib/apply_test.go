@@ -167,7 +167,12 @@ func TestApplyBatchRejectsInvalid(t *testing.T) {
 // buffers and the grouping scratch are warm, a recycled batch applies
 // and republishes without heap allocations — with the publish-duration
 // histogram and trace ring installed, so the contract covers the fully
-// instrumented pipeline, not a telemetry-stripped one.
+// instrumented pipeline, not a telemetry-stripped one. The v4-shared
+// row's control tries share their subtrees with a twin engine's, as a
+// tenant's do with its reference: the warm-up copies the batch's paths
+// once, and from then on churn allocates nothing there either. (The
+// twins keep arenas of their own: a vrftab space also interns every
+// new root window, which allocates whatever the control tries do.)
 func TestApplyBatchZeroAllocs(t *testing.T) {
 	tab, tab6 := testTable(t, 4000, 22), testTable6(t, 2000, 24)
 	rng := rand.New(rand.NewSource(23))
@@ -179,6 +184,13 @@ func TestApplyBatchZeroAllocs(t *testing.T) {
 	}{
 		{"v4", 4, gen.RandomUpdates(rng, tab, 512), func(us []gen.Update) churned { return newChurned4(t, tab, 11, 16, us) }},
 		{"v6", 6, gen.BGPUpdates6(rng, tab6, 512), func(us []gen.Update) churned { return newChurned6(t, tab6, 16, 16, us) }},
+		{"v4-shared", 4, gen.RandomUpdates(rng, tab, 512), func(us []gen.Update) churned {
+			c, twin := newChurned4(t, tab, 11, 16, us), newChurned4(t, tab, 11, 16, us)
+			for i := range c.f.shards {
+				c.f.shards[i].dag.Control().Share(twin.f.shards[i].dag.Control())
+			}
+			return c
+		}},
 	} {
 		t.Run(fam.name, func(t *testing.T) {
 			// Two variants of the batch with different labels per prefix

@@ -111,3 +111,6 @@ func (f *FIB6) ApplyBatch(ops []Op6) (int, error) {
 // Reload atomically replaces the whole IPv6 FIB shard by shard from a
 // fresh table; lookups proceed throughout.
 func (f *FIB6) Reload(t *ip6.Table) error { return f.reload(table6(t)) }
+
+// Share is FIB.Share for the IPv6 engine.
+func (f *FIB6) Share(ref *FIB6) { f.share(&ref.engine) }

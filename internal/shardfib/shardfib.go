@@ -711,6 +711,22 @@ func (e *engine) reload(t routes) error {
 	return nil
 }
 
+// share points each shard's control trie at ref's for the same shard,
+// so the two hold every equal subtree once (trie.Share): a co-tenant
+// then costs its delta's copied paths. Nothing happens unless ref is a
+// member of the same space with as many shards, since the space lock
+// is what every reader and writer of either engine's tries holds.
+func (e *engine) share(ref *engine) {
+	if ref.space != e.space || len(ref.shards) != len(e.shards) {
+		return
+	}
+	e.space.Lock()
+	defer e.space.Unlock()
+	for i := range e.shards {
+		e.shards[i].dag.Control().Share(ref.shards[i].dag.Control())
+	}
+}
+
 // reloadShard swaps shard i's descent for next and publishes it; on
 // error the shard keeps descent and snapshot as they were and next's
 // nodes go back to the space. Called under the space lock.
@@ -732,28 +748,6 @@ func (e *engine) reloadShard(i int, next *pdag.Descent) error {
 	// old table does not pin its subtrees forever.
 	old.Release()
 	return nil
-}
-
-// ModelBytes reports the summed §4.2 model size of the shard DAGs.
-// Replicated short prefixes make this slightly larger than the flat
-// DAG's — the memory cost of sharding. The folded region is the
-// space's (one index across the engine's shards, and across
-// co-tenants in shared mode), counted once.
-func (e *engine) ModelBytes() int {
-	e.space.Lock()
-	defer e.space.Unlock()
-	total := 0
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		st := sh.dag.Stats()
-		sh.mu.Unlock()
-		total += st.ModelBits
-		if i > 0 {
-			total -= st.FoldedInterior*2*st.PointerBits + st.FoldedLeaves*bits.Len(uint(st.Delta))
-		}
-	}
-	return (total + 7) / 8
 }
 
 // SizeBytes reports the resident byte size of the serving form (the
@@ -896,3 +890,8 @@ func (f *FIB) ApplyBatch(ops []Op) (int, error) {
 // proceed throughout; on error the shards not yet reached keep the old
 // table, writer and readers alike.
 func (f *FIB) Reload(t *fib.Table) error { return f.reload(table4(t)) }
+
+// Share makes the control tries share their equal subtrees with ref's,
+// a member of the same space (see vrftab): what a tenant's writer side
+// holds beyond ref's is then its delta's paths.
+func (f *FIB) Share(ref *FIB) { f.share(&ref.engine) }

@@ -22,8 +22,20 @@ func (a *Arena) node(label uint32, l, r *Node) *Node {
 		return &Node{Label: label, Left: l, Right: r}
 	}
 	a.free = n.Left
-	n.Label, n.Left, n.Right = label, l, r
+	n.Label, n.Left, n.Right, n.shared = label, l, r, false
 	return n
+}
+
+// copyOf is a private copy of shared node s. Its children are now
+// reachable through s and the copy both, so it marks them shared.
+func (a *Arena) copyOf(s *Node) *Node {
+	if s.Left != nil {
+		s.Left.shared = true
+	}
+	if s.Right != nil {
+		s.Right.shared = true
+	}
+	return a.node(s.Label, s.Left, s.Right)
 }
 
 // recycleOne pushes a single node onto the free chain.

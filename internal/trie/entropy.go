@@ -48,18 +48,3 @@ func (t *Trie) LevelEntropy() float64 {
 	}
 	return h
 }
-
-// EntropyBitsAtOrder reports the label-storage bound at the given
-// context order: order 0 is n·H0 (Proposition 2); order 1 conditions
-// on the leaf's level, n·H_lvl. Higher orders are not modelled — the
-// paper leaves whether real FIBs have deeper context as an open
-// question.
-func (t *Trie) EntropyBitsAtOrder(order int) float64 {
-	s := t.LeafStats()
-	switch order {
-	case 0:
-		return float64(s.Leaves) * s.H0
-	default:
-		return float64(s.Leaves) * t.LevelEntropy()
-	}
-}

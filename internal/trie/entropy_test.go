@@ -73,17 +73,3 @@ func TestLevelEntropyPanicsOnRawTrie(t *testing.T) {
 	}()
 	FromTable(fib.MustParse("0.0.0.0/0 1", "0.0.0.0/1 2")).LevelEntropy()
 }
-
-func TestEntropyBitsAtOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tb := randomTable(rng, 300, 4)
-	lp := FromTable(tb).LeafPush()
-	b0 := lp.EntropyBitsAtOrder(0)
-	b1 := lp.EntropyBitsAtOrder(1)
-	if b1 > b0+1e-6 {
-		t.Fatalf("order-1 bound %.1f exceeds order-0 %.1f", b1, b0)
-	}
-	if b0 <= 0 {
-		t.Fatal("degenerate order-0 bound")
-	}
-}

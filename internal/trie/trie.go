@@ -55,9 +55,14 @@ func (k Key) Masked(plen int) Key {
 }
 
 // Node is a binary trie node. Label 0 (fib.NoLabel) means "no label".
+// shared marks a node that more than one trie may reach (Share): such
+// a node is never written — a writer replaces it with a private copy
+// first (own) — and the mark is never cleared. It fits the padding
+// after Label, so a node stays 24 bytes.
 type Node struct {
 	Left, Right *Node
 	Label       uint32
+	shared      bool
 }
 
 // IsLeaf reports whether the node has no children.
@@ -111,22 +116,27 @@ func (t *Trie) LookupSteps(addr uint32) (label uint32, steps int) { return t.loo
 
 // InsertKey sets the label of prefix k/plen, creating path nodes as
 // needed.
-func (t *Trie) InsertKey(k Key, plen int, label uint32) {
+func (t *Trie) InsertKey(k Key, plen int, label uint32) { t.own(k, plen).Label = label }
+
+// own walks to prefix k/plen, creating the missing path nodes and
+// replacing each shared one with a private copy, and returns the node
+// at plen: the path is then this trie's alone to write. On a trie that
+// shares nothing it costs one flag test per level.
+func (t *Trie) own(k Key, plen int) *Node {
 	n := t.Root
 	for q := 0; q < plen; q++ {
-		if k.Bit(q) == 0 {
-			if n.Left == nil {
-				n.Left = t.arena.node(fib.NoLabel, nil, nil)
-			}
-			n = n.Left
-		} else {
-			if n.Right == nil {
-				n.Right = t.arena.node(fib.NoLabel, nil, nil)
-			}
-			n = n.Right
+		c := &n.Left
+		if k.Bit(q) != 0 {
+			c = &n.Right
 		}
+		if *c == nil {
+			*c = t.arena.node(fib.NoLabel, nil, nil)
+		} else if (*c).shared {
+			*c = t.arena.copyOf(*c)
+		}
+		n = *c
 	}
-	n.Label = label
+	return n
 }
 
 // DeleteKey removes the label of prefix k/plen and prunes the unlabeled
@@ -136,7 +146,7 @@ func (t *Trie) DeleteKey(k Key, plen int) bool {
 	// keep is the deepest node above the prefix that pruning stops at —
 	// the root, a labeled node or a fork — and kq its depth: below it
 	// the path is a chain of single unlabeled children.
-	n, keep, kq := t.Root, t.Root, 0
+	n, keep, kq, shared := t.Root, t.Root, 0, false
 	for q := 0; q < plen; q++ {
 		if n.Label != fib.NoLabel || (n.Left != nil && n.Right != nil) {
 			keep, kq = n, q
@@ -144,9 +154,15 @@ func (t *Trie) DeleteKey(k Key, plen int) bool {
 		if n = n.child(k.Bit(q)); n == nil {
 			return false
 		}
+		shared = shared || n.shared
 	}
 	if n.Label == fib.NoLabel {
 		return false
+	}
+	if shared {
+		// Copy the path; the second descent meets no shared node.
+		t.own(k, plen)
+		return t.DeleteKey(k, plen)
 	}
 	n.Label = fib.NoLabel
 	if !n.IsLeaf() || n == keep {
@@ -203,13 +219,33 @@ func (t *Trie) lookup(k Key) (label uint32, steps int) {
 	return label, steps
 }
 
-// Subtree returns the node at IPv4 prefix addr/plen, or nil.
-func (t *Trie) Subtree(addr uint32, plen int) *Node {
-	n := t.Root
-	for q := 0; q < plen && n != nil; q++ {
-		n = n.child(fib.Bit(addr, q))
+// Share points t at ref's node for every subtree of t that equals
+// ref's at the same key position, marking that node shared, so the two
+// tries hold it once; t's nodes it replaces go to the garbage
+// collector, and the roots stay apart. One bottom-up walk over both,
+// O(|t|), with no index: equal subtrees can only sit at equal
+// positions. The writers of either trie then copy before they write.
+func (t *Trie) Share(ref *Trie) { share(t.Root, ref.Root) }
+
+// share points each child of a that equals b's child at b's and
+// reports whether the subtrees of a and b are equal. a is private.
+func share(a, b *Node) bool {
+	l, r := shareChild(&a.Left, b.Left), shareChild(&a.Right, b.Right)
+	return l && r && a.Label == b.Label
+}
+
+// shareChild is share one level down: a child of a that is itself
+// shared (reachable from a third trie) is never written, so it is not
+// descended into.
+func shareChild(c **Node, b *Node) bool {
+	switch a := *c; {
+	case a == b:
+		return true
+	case a == nil || b == nil || a.shared || !share(a, b):
+		return false
 	}
-	return n
+	b.shared, *c = true, b
+	return true
 }
 
 // Clone deep-copies the trie.
@@ -221,29 +257,6 @@ func CloneNode(n *Node) *Node {
 		return nil
 	}
 	return &Node{Left: CloneNode(n.Left), Right: CloneNode(n.Right), Label: n.Label}
-}
-
-// CountNodes reports the number of nodes (the paper's t).
-func (t *Trie) CountNodes() int { return countNodes(t.Root) }
-
-func countNodes(n *Node) int {
-	if n == nil {
-		return 0
-	}
-	return 1 + countNodes(n.Left) + countNodes(n.Right)
-}
-
-// CountLeaves reports the number of leaves (the paper's n).
-func (t *Trie) CountLeaves() int { return countLeaves(t.Root) }
-
-func countLeaves(n *Node) int {
-	if n == nil {
-		return 0
-	}
-	if n.IsLeaf() {
-		return 1
-	}
-	return countLeaves(n.Left) + countLeaves(n.Right)
 }
 
 // MaxDepth reports the deepest node's depth (root = 0).

@@ -21,6 +21,14 @@ func sampleFIB() *fib.Table {
 	)
 }
 
+// countNodes reports the nodes of a subtree.
+func countNodes(n *Node) int {
+	if n == nil {
+		return 0
+	}
+	return 1 + countNodes(n.Left) + countNodes(n.Right)
+}
+
 // randomTable builds a random FIB with n prefixes and delta labels.
 func randomTable(rng *rand.Rand, n, delta int) *fib.Table {
 	t := fib.New()
@@ -84,8 +92,8 @@ func TestInsertDelete(t *testing.T) {
 		t.Fatal("double delete should report false")
 	}
 	// The pruned trie must be a bare root again.
-	if tr.CountNodes() != 1 {
-		t.Fatalf("nodes after prune = %d, want 1", tr.CountNodes())
+	if countNodes(tr.Root) != 1 {
+		t.Fatalf("nodes after prune = %d, want 1", countNodes(tr.Root))
 	}
 }
 
@@ -109,13 +117,10 @@ func TestLeafPushSample(t *testing.T) {
 	if !lp.IsProperLeafLabeled() {
 		t.Fatal("not proper leaf-labeled")
 	}
-	if n := lp.CountNodes(); n != 9 {
-		t.Fatalf("nodes = %d want 9", n)
-	}
-	if n := lp.CountLeaves(); n != 5 {
-		t.Fatalf("leaves = %d want 5", n)
-	}
 	s := lp.LeafStats()
+	if s.Nodes != 9 || s.Leaves != 5 {
+		t.Fatalf("nodes/leaves = %d/%d want 9/5", s.Nodes, s.Leaves)
+	}
 	if s.LabelFreq[2] != 3 || s.LabelFreq[1] != 1 || s.LabelFreq[3] != 1 {
 		t.Fatalf("leaf label frequencies %v", s.LabelFreq)
 	}
@@ -148,9 +153,8 @@ func TestLeafPushIdempotent(t *testing.T) {
 	tb := randomTable(rng, 200, 4)
 	lp := FromTable(tb).LeafPush()
 	lp2 := lp.LeafPush()
-	if lp.CountNodes() != lp2.CountNodes() || lp.CountLeaves() != lp2.CountLeaves() {
-		t.Fatalf("leaf-push not idempotent: %d/%d vs %d/%d",
-			lp.CountNodes(), lp.CountLeaves(), lp2.CountNodes(), lp2.CountLeaves())
+	if s, s2 := lp.LeafStats(), lp2.LeafStats(); s.Nodes != s2.Nodes || s.Leaves != s2.Leaves {
+		t.Fatalf("leaf-push not idempotent: %d/%d vs %d/%d", s.Nodes, s.Leaves, s2.Nodes, s2.Leaves)
 	}
 }
 
@@ -172,7 +176,7 @@ func TestLeafPushNoRoute(t *testing.T) {
 
 func TestLeafPushEmpty(t *testing.T) {
 	lp := New().LeafPush()
-	if !lp.IsProperLeafLabeled() || lp.CountNodes() != 1 {
+	if !lp.IsProperLeafLabeled() || countNodes(lp.Root) != 1 {
 		t.Fatal("empty trie should normalize to a single ∅ leaf")
 	}
 	if lp.Lookup(12345) != fib.NoLabel {
@@ -183,7 +187,7 @@ func TestLeafPushEmpty(t *testing.T) {
 func TestLeafPushDefaultOnly(t *testing.T) {
 	tb := fib.MustParse("0.0.0.0/0 7")
 	lp := FromTable(tb).LeafPush()
-	if lp.CountNodes() != 1 || lp.CountLeaves() != 1 {
+	if s := lp.LeafStats(); s.Nodes != 1 || s.Leaves != 1 {
 		t.Fatal("default-only FIB should collapse to a single leaf")
 	}
 	if lp.Lookup(0xDEADBEEF) != 7 {
@@ -227,17 +231,24 @@ func TestEntriesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSubtree(t *testing.T) {
-	tr := FromTable(sampleFIB())
-	n := tr.Subtree(0x60000000, 3) // 011
-	if n == nil || n.Label != 1 {
-		t.Fatalf("subtree at 011: %+v", n)
+// TestCopyMarksChildren: a trie that reaches another's subtree through
+// one shared node (only its top marked) copies that node before writing
+// below it, and the copy marks the children it now shares, so a second
+// write one level deeper copies again instead of writing in place.
+func TestCopyMarksChildren(t *testing.T) {
+	a, b := FromTable(sampleFIB()), New()
+	b.Root.Left, a.Root.Left.shared = a.Root.Left, true
+	b.Insert(0x20000000, 3, 7) // 001, below the shared 0
+	b.Insert(0x10000000, 4, 8) // 0001, below the shared 00
+	b.Delete(0x00000000, 2)
+	want := FromTable(sampleFIB())
+	for _, addr := range []uint32{0, 0x10000000, 0x20000000, 0x40000000, 0x60000000} {
+		if got := a.Lookup(addr); got != want.Lookup(addr) {
+			t.Fatalf("writes to the sharing trie moved %08x: %d, want %d", addr, got, want.Lookup(addr))
+		}
 	}
-	if tr.Subtree(0xE0000000, 3) != nil {
-		t.Fatal("nonexistent subtree should be nil")
-	}
-	if tr.Subtree(0, 0) != tr.Root {
-		t.Fatal("zero-length subtree should be the root")
+	if b.Lookup(0x10000000) != 8 || b.Lookup(0x20000000) != 7 || b.Lookup(0) != 3 {
+		t.Fatal("the sharing trie lost its own writes")
 	}
 }
 

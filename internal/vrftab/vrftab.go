@@ -123,6 +123,7 @@ func (r *Registry) Add(id uint16, t4 *fib.Table, t6 *ip6.Table) (*Tenant, error)
 		return nil, err
 	}
 	tn := &Tenant{ID: id, V4: f4, V6: f6}
+	share(tn, cur)
 	next := make(map[uint16]*Tenant, len(cur)+1)
 	for k, v := range cur {
 		next[k] = v
@@ -130,6 +131,25 @@ func (r *Registry) Add(id uint16, t4 *fib.Table, t6 *ip6.Table) (*Tenant, error)
 	next[id] = tn
 	r.tabs.Store(&next)
 	return tn, nil
+}
+
+// share points tn's control tries at the reference's — the lowest-id
+// other tenant of tabs — so near-identical tenants hold their common
+// control subtrees once (shardfib.FIB.Share). Add and Reload call it
+// after every build, so a reload re-shares what it rebuilt, and the
+// reference's own reload or removal pins nothing: its old nodes live
+// on only where a co-tenant still holds them.
+func share(tn *Tenant, tabs map[uint16]*Tenant) {
+	var ref *Tenant
+	for _, o := range tabs {
+		if o != tn && (ref == nil || o.ID < ref.ID) {
+			ref = o
+		}
+	}
+	if ref != nil {
+		tn.V4.Share(ref.V4)
+		tn.V6.Share(ref.V6)
+	}
 }
 
 // Remove unpublishes a tenant and returns its folded references to
@@ -208,6 +228,7 @@ func (r *Registry) Reload(id uint16, t4 *fib.Table, t6 *ip6.Table) error {
 			return err
 		}
 	}
+	share(tn, *r.tabs.Load())
 	return nil
 }
 

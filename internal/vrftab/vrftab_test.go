@@ -1,6 +1,7 @@
 package vrftab
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -395,4 +396,169 @@ func TestRegistryConcurrentChurn(t *testing.T) {
 	wwg.Wait()
 	close(stop)
 	wg.Wait()
+}
+
+// oracle is one tenant's exact-prefix state in both families, kept
+// beside the registry: later duplicates win, as in a table build.
+type oracle struct {
+	v4 map[fib.Entry]uint32 // keyed with NextHop 0
+	v6 map[ip6.Entry]uint32
+}
+
+func oracleOf(t4 *fib.Table, t6 *ip6.Table) oracle {
+	o := oracle{map[fib.Entry]uint32{}, map[ip6.Entry]uint32{}}
+	for _, e := range t4.Entries {
+		o.v4[fib.Entry{Addr: e.Addr, Len: e.Len}] = e.NextHop
+	}
+	for _, e := range t6.Entries {
+		o.v6[ip6.Entry{Addr: e.Addr, Len: e.Len}] = e.NextHop
+	}
+	return o
+}
+
+// mismatch compares a tenant's engines with a linear scan over its
+// oracle on uniform probes and on the first and last address of every
+// route it holds; "" when every answer agrees.
+func (o oracle) mismatch(tn *Tenant, addrs []uint32, addrs6 []ip6.Addr) string {
+	t4, t6 := fib.New(), ip6.New()
+	for r, label := range o.v4 {
+		t4.Entries = append(t4.Entries, fib.Entry{Addr: r.Addr, Len: r.Len, NextHop: label})
+		addrs = append(addrs, r.Addr, r.Addr|^fib.Mask(r.Len))
+	}
+	for r, label := range o.v6 {
+		t6.Entries = append(t6.Entries, ip6.Entry{Addr: r.Addr, Len: r.Len, NextHop: label})
+		m := ip6.Mask(r.Len)
+		addrs6 = append(addrs6, r.Addr, ip6.Addr{Hi: r.Addr.Hi | ^m.Hi, Lo: r.Addr.Lo | ^m.Lo})
+	}
+	got := tn.V4.LookupBatch(addrs)
+	for i, a := range addrs {
+		if want := t4.LookupLinear(a); got[i] != want {
+			return fmt.Sprintf("v4 %08x -> %d, oracle %d", a, got[i], want)
+		}
+	}
+	got = tn.V6.LookupBatch(addrs6)
+	for i, a := range addrs6 {
+		if want := t6.LookupLinear(a); got[i] != want {
+			return fmt.Sprintf("v6 %v -> %d, oracle %d", a, got[i], want)
+		}
+	}
+	return ""
+}
+
+// TestSharedControlIsolation: tenants whose control tries share one
+// base (every Add and Reload shares against the lowest-id co-tenant)
+// take seeded random Set, Delete, Reload and Remove-then-Add — the
+// reference tenant included — from concurrent writers, each owning
+// some of the tenants, while readers resolve and look up throughout.
+// At every checkpoint each tenant answers like its own oracle: a write
+// that forgot to copy a shared node first would show up as a co-tenant
+// answering with a route it never had (and, under -race, as a race on
+// the node).
+func TestSharedControlIsolation(t *testing.T) {
+	const tenants, writers, rounds, opsPerRound = 6, 3, 4, 60
+	const base, base6 = 300, 100
+	r := New(11, 12, 4)
+	oracles := make([]oracle, tenants+1)
+	for id := 1; id <= tenants; id++ {
+		t4, t6 := tenantTable(t, id, base, 6), tenantTable6(t, id, base6, 4)
+		if _, err := r.Add(uint16(id), t4, t6); err != nil {
+			t.Fatal(err)
+		}
+		oracles[id] = oracleOf(t4, t6)
+	}
+	shared4, shared6 := tenantTable(t, 0, base, 0).Entries, tenantTable6(t, 0, base6, 0).Entries
+	addrs, addrs6 := sweep4(1024, 31), sweep6(512, 32)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			dst, dst6 := make([]uint32, len(addrs)), make([]uint32, len(addrs6))
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if f4, f6, ok := r.Resolve(uint16(1 + i%tenants)); ok {
+					f4.LookupBatchInto(dst, addrs)
+					f6.LookupBatchInto(dst6, addrs6)
+				}
+			}
+		}(g)
+	}
+	defer func() { close(stop); readers.Wait() }()
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(1000*round + w)))
+				for i := 0; i < opsPerRound; i++ {
+					id := 1 + w + writers*rng.Intn(tenants/writers)
+					o, tn := &oracles[id], func() *Tenant { tn, _ := r.Tenant(uint16(id)); return tn }()
+					label := uint32(1 + rng.Intn(200))
+					var err error
+					switch op := rng.Intn(20); {
+					case op < 8: // relabel or re-add a base route: a path through shared nodes
+						e := shared4[rng.Intn(len(shared4))]
+						o.v4[fib.Entry{Addr: e.Addr, Len: e.Len}] = label
+						err = tn.V4.Set(e.Addr, e.Len, label)
+					case op < 12: // withdraw a base route
+						e := shared4[rng.Intn(len(shared4))]
+						k := fib.Entry{Addr: e.Addr, Len: e.Len}
+						_, present := o.v4[k]
+						delete(o.v4, k)
+						if got := tn.V4.Delete(e.Addr, e.Len); got != present {
+							t.Errorf("tenant %d: Delete(%v) = %v, present %v", id, k, got, present)
+						}
+					case op < 15: // a private route
+						plen := 8 + rng.Intn(25)
+						a := rng.Uint32() & fib.Mask(plen)
+						o.v4[fib.Entry{Addr: a, Len: plen}] = label
+						err = tn.V4.Set(a, plen, label)
+					case op < 17: // IPv6: relabel or withdraw a base route
+						e := shared6[rng.Intn(len(shared6))]
+						k := ip6.Entry{Addr: e.Addr, Len: e.Len}
+						if op == 15 {
+							o.v6[k] = label
+							err = tn.V6.Set(e.Addr, e.Len, label)
+						} else {
+							delete(o.v6, k)
+							tn.V6.Delete(e.Addr, e.Len)
+						}
+					case op < 19: // reload with a fresh delta
+						t4, t6 := tenantTable(t, rng.Intn(1<<20), base, 6), tenantTable6(t, rng.Intn(1<<20), base6, 4)
+						*o = oracleOf(t4, t6)
+						err = r.Reload(uint16(id), t4, t6)
+					default: // remove, then add back
+						if !r.Remove(uint16(id)) {
+							t.Errorf("Remove(%d) = false", id)
+						}
+						t4, t6 := tenantTable(t, rng.Intn(1<<20), base, 6), tenantTable6(t, rng.Intn(1<<20), base6, 4)
+						*o = oracleOf(t4, t6)
+						_, err = r.Add(uint16(id), t4, t6)
+					}
+					if err != nil {
+						t.Errorf("tenant %d: %v", id, err)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for id := 1; id <= tenants; id++ {
+			tn, ok := r.Tenant(uint16(id))
+			if !ok {
+				t.Fatalf("round %d: tenant %d missing", round, id)
+			}
+			if m := oracles[id].mismatch(tn, addrs, addrs6); m != "" {
+				t.Fatalf("round %d: tenant %d: %s", round, id, m)
+			}
+		}
+	}
 }
